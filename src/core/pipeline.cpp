@@ -143,7 +143,7 @@ ExecutionPlan Pipeline::build_plan(std::int64_t from, std::int64_t to,
 }
 
 void Pipeline::maybe_validate(const ExecutionPlan& p) const {
-  if (gpu_.hazards().enabled()) p.validate();
+  if (gpu_.hazards().enabled()) p.validate_once();
 }
 
 Bytes Pipeline::buffer_footprint() const {

@@ -181,7 +181,8 @@ class Pipeline {
   void configure_buffers();
   /// Compiles iterations [from, to) against the current buffers.
   ExecutionPlan build_plan(std::int64_t from, std::int64_t to, std::int64_t first_chunk) const;
-  /// Statically validates `p` once per (re)build when hazards are enabled.
+  /// Statically validates `p` when hazards are enabled — once per plan
+  /// object, so every Pipeline sharing a cached plan reuses the first proof.
   void maybe_validate(const ExecutionPlan& p) const;
   /// Adapts the KernelFactory to the executor's node-level interface.
   PlanKernelMaker maker(const KernelFactory& make_kernel) const;

@@ -25,6 +25,7 @@
 // schedule node for node, so stats and virtual-clock timings are unchanged.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -188,9 +189,43 @@ struct ExecutionPlan {
   /// dependency) — before anything executes.
   void validate() const;
 
+  /// validate() at most once per plan object: the first call that returns
+  /// marks this object proven, later calls return at once. A throw leaves it
+  /// unproven, so a hazardous plan fails every call. Copies start unproven,
+  /// and the mark is never serialized or fingerprinted. Meant for plans no
+  /// longer mutated, such as the plan-cache-shared ones every same-shape
+  /// Pipeline enqueues; two threads may race to prove one (both validate).
+  void validate_once() const {
+    if (proven_.test()) return;
+    validate();
+    proven_.set();
+  }
+  /// Whether validate_once() has proven this object.
+  bool proven() const { return proven_.test(); }
+
   /// Writes the op graph in Graphviz DOT form (one cluster per stream,
   /// dependency edges between nodes).
   void to_dot(std::ostream& os) const;
+
+ private:
+  /// validate_once()'s mark. It stays with the object it was set on:
+  /// copies and moves start cleared, and assigning a plan over a proven one
+  /// clears it. Atomic, so threads sharing a const plan may set it.
+  class ProofMark {
+   public:
+    ProofMark() = default;
+    ProofMark(const ProofMark&) noexcept {}
+    ProofMark& operator=(const ProofMark&) noexcept {
+      set_.store(false, std::memory_order_relaxed);
+      return *this;
+    }
+    bool test() const noexcept { return set_.load(std::memory_order_acquire); }
+    void set() const noexcept { set_.store(true, std::memory_order_release); }
+
+   private:
+    mutable std::atomic<bool> set_{false};
+  };
+  ProofMark proven_;
 };
 
 /// Executor-state inputs PlanBuilder::pipeline needs to mirror the real

@@ -376,7 +376,7 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::disk_load(const std::string& 
         // must never reach an executor; re-prove it race-free like the
         // builder did.
         try {
-          plan->validate();
+          plan->validate_once();
         } catch (...) {
           ok = false;
         }
@@ -538,7 +538,7 @@ std::size_t PlanCache::load_bundle(const PlanBundle& bundle) {
       case ArtifactKind::Plan: {
         auto plan = std::make_shared<ExecutionPlan>(a.plan);
         try {
-          plan->validate();
+          plan->validate_once();
         } catch (...) {
           plan.reset();
         }

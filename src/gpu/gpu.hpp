@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "gpu/device_profile.hpp"
 #include "gpu/hazard.hpp"
@@ -77,6 +78,15 @@ class GpuEvent {
   bool complete() const { return task_->done(); }
   /// Virtual time at which the event fired (valid once complete()).
   SimTime timestamp() const { return task_->end_time(); }
+  /// Runs `fn` when the event fires, inside the marker task's own
+  /// completion: no event is scheduled, so the timeline is unchanged. Runs
+  /// at once if the event already fired. `fn` may outlive whoever armed it
+  /// (the event fires whenever someone steps the context), so it must own
+  /// what it touches.
+  template <typename F>
+  void on_complete(F&& fn) {
+    task_->on_complete(std::forward<F>(fn));
+  }
 
  private:
   friend class Gpu;

@@ -126,6 +126,7 @@ ScheduleReport Scheduler::run() {
   });
 
   if (sampling()) next_sample_ = t0_ + opts_.sample_every;
+  board_->unfired.assign(jobs_.size(), -1);
 
   while (!all_terminal()) {
     bool progress = true;
@@ -164,6 +165,8 @@ ScheduleReport Scheduler::run() {
 }
 
 bool Scheduler::poll_completions() {
+  if (!board_->signalled && stalled_shards_ == 0) return false;
+  board_->signalled = false;
   bool progress = false;
   for (std::size_t i = 0; i < active_.size();) {
     Active& a = active_[i];
@@ -171,6 +174,7 @@ bool Scheduler::poll_completions() {
       // Stalled at a round boundary (no device could take a shard when the
       // last round drained) — retry now that the picture may have changed.
       if (launch_shard_round(a)) {
+        --stalled_shards_;
         ++shard_rounds_;
         record_flight(telemetry::FlightEventKind::Reshard, a.id,
                       a.shard->device_mask(), a.shard->remaining());
@@ -179,10 +183,12 @@ bool Scheduler::poll_completions() {
       ++i;
       continue;
     }
-    if (!a.done()) {
+    int& unfired = board_->unfired[static_cast<std::size_t>(a.id)];
+    if (unfired != 0) {
       ++i;
       continue;
     }
+    unfired = -1;
     if (a.shard) {
       a.shard->finish_round();
       progress = true;
@@ -196,6 +202,8 @@ bool Scheduler::poll_completions() {
           record_flight(telemetry::FlightEventKind::Reshard, a.id,
                         a.shard->device_mask(), a.shard->remaining());
           progress = true;
+        } else {
+          ++stalled_shards_;
         }
         ++i;
         continue;
@@ -419,7 +427,19 @@ bool Scheduler::launch_shard_round(Active& a) {
     } catch (const gpu::OomError&) {
     }
   }
-  return a.shard->start_round(devs, shard_weights(devs, est, outstanding_));
+  if (!a.shard->start_round(devs, shard_weights(devs, est, outstanding_))) return false;
+  arm_completion(a.id, a.shard->round_events());
+  return true;
+}
+
+void Scheduler::arm_completion(int id, const std::vector<gpu::EventPtr>& events) {
+  const std::size_t idx = static_cast<std::size_t>(id);
+  board_->unfired[idx] = static_cast<int>(events.size());
+  if (events.empty()) board_->signalled = true;
+  for (const gpu::EventPtr& ev : events)
+    ev->on_complete([board = board_, idx] {
+      if (--board->unfired[idx] == 0) board->signalled = true;
+    });
 }
 
 bool Scheduler::try_start_sharded(int id) {
@@ -514,9 +534,11 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   a.device = dev;
   a.footprint = d.footprint;
   a.estimate = r.estimate;
-  if (opts_.stitching) {
+  if (opts_.stitching && lineage_jobs_ > 0) {
     // Consume side first: a mid-chain job both lands its inputs from an
-    // upstream link and stashes its outputs for a downstream one.
+    // upstream link and stashes its outputs for a downstream one. (Without
+    // lineage in the mix there is nothing to wire, and the producer side's
+    // scan of every later job would make starts quadratic.)
     wire_consumer_handoffs(id, dev, spec, a);
     wire_producer_handoffs(id, dev, spec, a);
   }
@@ -542,6 +564,7 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   for (gpu::Stream* s : a.pipeline->streams())
     a.events.push_back(device.record_event(*s));
   device.trace().set_trace_id(-1);
+  arm_completion(id, a.events);
   if (std::isfinite(a.estimate)) outstanding_[static_cast<std::size_t>(dev)] += a.estimate;
   active_.push_back(std::move(a));
 
@@ -939,11 +962,10 @@ void Scheduler::advance_until_completion_or(SimTime bound) {
     alarm = std::max(bound, ctx_->sim.now());
     ctx_->sim.schedule(alarm, [] {});
   }
+  // O(1) per event: the completion hooks raise the board's signal.
+  const CompletionBoard& board = *board_;
   ctx_->sim.run_until([&] {
-    if (bounded && ctx_->sim.now() >= alarm) return true;
-    for (const Active& a : active_)
-      if (a.done()) return true;
-    return false;
+    return board.signalled || (bounded && ctx_->sim.now() >= alarm);
   });
   ctx_->host_time = std::max(ctx_->host_time, ctx_->sim.now());
 }

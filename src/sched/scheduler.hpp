@@ -21,8 +21,9 @@
 //     pipeline under pipeline_mem_limit; admission failure retries with
 //     exponential backoff, and a job is rejected only when it cannot fit an
 //     idle device or its retry budget runs out,
-//   * completion is detected by events recorded on the job's own streams —
-//     never by draining the device, which would serialize tenants.
+//   * completion is signalled by hooks on events recorded on the job's own
+//     streams — never by draining the device, which would serialize
+//     tenants, and never by rescanning every running job after each event.
 //
 // The scheduler never preempts and never advances time while any decision
 // is possible; time only moves to the next arrival, retry gate, or job
@@ -221,15 +222,21 @@ class Scheduler {
     /// completion) — one entry for solo jobs, one per shard otherwise.
     std::vector<std::pair<int, SimTime>> shares;
     std::vector<gpu::EventPtr> events;  ///< one per pipeline stream
-    bool done() const {
-      // A stalled sharded job (round-boundary wait for capacity) is not
-      // done: reporting done would spin the control loop without letting
-      // time advance to the device event that unblocks it.
-      if (shard) return shard->live() && shard->round_done();
-      for (const auto& ev : events)
-        if (!ev->complete()) return false;
-      return true;
-    }
+  };
+
+  /// Completion by notification. arm_completion() hooks the stream events
+  /// of a solo pipeline or of one shard round; the last of them to fire
+  /// marks the job done and raises `signalled`, so the control loop waits on
+  /// one flag instead of rescanning every running job after each event. The
+  /// hooks share ownership of the board: one firing after the scheduler is
+  /// gone (an abandoned run drained by someone else) writes here, never
+  /// into freed memory.
+  struct CompletionBoard {
+    /// By job id: armed events still to fire; 0 = done, -1 = not armed (not
+    /// running, or a sharded job stalled between rounds — it waits for a
+    /// device event, not a completion).
+    std::vector<int> unfired;
+    bool signalled = false;  ///< some job turned done since the last poll
   };
 
   SimTime host_now() const { return ctx_->host_time; }
@@ -237,7 +244,11 @@ class Scheduler {
     return completed_ + rejected_ == static_cast<int>(jobs_.size());
   }
 
+  /// Completes the jobs the board marked done (in active_ order) and retries
+  /// stalled shard rounds; a no-op without a signal or a stalled round.
   bool poll_completions();
+  /// Hooks `events` so job `id` reads done once every one of them fired.
+  void arm_completion(int id, const std::vector<gpu::EventPtr>& events);
   bool intake();
   bool dispatch();
   /// Applies scripted DeviceEvents whose time has passed.
@@ -306,6 +317,8 @@ class Scheduler {
   std::vector<int> arrival_order_;
   std::size_t next_pending_ = 0;
   std::vector<Active> active_;
+  std::shared_ptr<CompletionBoard> board_ = std::make_shared<CompletionBoard>();
+  int stalled_shards_ = 0;  ///< sharded jobs waiting for a device between rounds
   std::vector<SimTime> outstanding_;  ///< estimated seconds running per device
   std::vector<char> dev_available_;   ///< elastic membership (DeviceEvents)
   std::vector<DeviceEvent> dev_events_;  ///< sorted by (time, position)

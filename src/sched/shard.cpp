@@ -241,7 +241,7 @@ bool ShardRun::start_round(const std::vector<int>& devices,
     ex.pipeline->set_exchange(ex.exchange.get());
     ex.pipeline->enqueue(job_.kernel);
     for (gpu::Stream* st : ex.pipeline->streams())
-      ex.events.push_back(dev.record_event(*st));
+      events_.push_back(dev.record_event(*st));
     dev.trace().set_trace_id(-1);
     log_debug("shard: round ", rounds_, " shard ", s, " -> dev", ex.device, " [",
               slices[si].begin, ", ", slices[si].end, "), chunk ", dec[si].chunk_size,
@@ -257,18 +257,11 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   return true;
 }
 
-bool ShardRun::round_done() const {
-  for (const ShardExec& ex : shards_)
-    for (const auto& ev : ex.events)
-      if (!ev->complete()) return false;
-  return true;
-}
-
 void ShardRun::finish_round() {
   require(live(), "ShardRun::finish_round without a live round");
+  for (const auto& ev : events_) finish_time_ = std::max(finish_time_, ev->timestamp());
+  events_.clear();
   for (ShardExec& ex : shards_) {
-    for (const auto& ev : ex.events)
-      finish_time_ = std::max(finish_time_, ev->timestamp());
     // All events already fired; the drain is bookkeeping, and destroying
     // the pipeline releases its ring buffers and streams.
     ex.pipeline->wait();

@@ -71,7 +71,8 @@ struct ShardRunOptions {
 /// One sharded job execution: a sequence of rounds, each an admission-
 /// checked multi-device partition of the remaining iterations, with P2P
 /// halo exchange between neighbouring shards. Driven by the Scheduler
-/// through start_round / round_done / finish_round.
+/// through start_round / finish_round; a round is done once every one of
+/// round_events() fired.
 class ShardRun {
  public:
   /// `job` and `admission` must outlive the run; `devices` is the
@@ -90,9 +91,9 @@ class ShardRun {
   /// or enqueued — when no device can admit a shard.
   bool start_round(const std::vector<int>& devices, const std::vector<double>& weights);
 
-  /// True when the live round's stream events have all fired (or no round
-  /// is live). Never advances time.
-  bool round_done() const;
+  /// One event per stream of every shard of the live round (empty when no
+  /// round is live): the round is done when all of them fired.
+  const std::vector<gpu::EventPtr>& round_events() const { return events_; }
   /// Whether a round is currently enqueued.
   bool live() const { return !shards_.empty(); }
   /// Drains the finished round, releases its admission commits and staging
@@ -162,7 +163,6 @@ class ShardRun {
     Bytes footprint = 0;
     std::unique_ptr<Exchange> exchange;
     std::unique_ptr<core::Pipeline> pipeline;
-    std::vector<gpu::EventPtr> events;
   };
 
   const Job& job_;
@@ -174,6 +174,7 @@ class ShardRun {
   std::int64_t end_ = 0;
   std::int64_t round_end_ = 0;  ///< where the live round's slice stops
   std::vector<ShardExec> shards_;  ///< live round, ascending shard order
+  std::vector<gpu::EventPtr> events_;  ///< live round's stream events
   std::vector<std::unique_ptr<HaloLink>> links_;
 
   std::int64_t chunk0_ = 0;

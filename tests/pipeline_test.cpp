@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "core/plan_cache.hpp"
 #include "gpu/device_profile.hpp"
 
 namespace gpupipe::core {
@@ -253,6 +254,30 @@ TEST(Pipeline, HazardTrackerAcceptsTheSchedule) {
   std::vector<double> in(n * m, 3.0), out(n * m);
   Pipeline p(g, rows_spec(in, out, n, m, 3, 4));
   EXPECT_NO_THROW(p.run(doubler(m)));
+}
+
+// Static validation is per plan object: an enqueue with hazards off leaves
+// the plan unproven, and the first enqueue with them on proves it.
+TEST(Pipeline, PlanEnqueuedWithHazardsOffIsProvenOnceTheyAreOn) {
+  // Cache off: the pipeline gets a private plan no earlier test proved.
+  PlanCache& cache = PlanCache::instance();
+  const std::size_t capacity = cache.capacity();
+  cache.set_capacity(0);
+  gpu::Gpu g(small_profile());
+  const std::int64_t n = 16, m = 8;
+  std::vector<double> in(n * m, 1.0), out(n * m);
+  Pipeline p(g, rows_spec(in, out, n, m, 2, 2));
+  g.hazards().set_enabled(false);
+  p.enqueue(doubler(m));
+  p.wait();
+  if (!gpu::HazardTracker::force_enabled()) {
+    EXPECT_FALSE(p.execution_plan().proven());
+  }
+  g.hazards().set_enabled(true);
+  p.enqueue(doubler(m));
+  p.wait();
+  EXPECT_TRUE(p.execution_plan().proven());
+  cache.set_capacity(capacity);
 }
 
 TEST(Pipeline, AdaptiveScheduleMatchesStaticResult) {

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <clocale>
+#include <locale>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -243,6 +245,34 @@ TEST(PlanCache, PipelinesShareTheCachedPlan) {
   reset_global_cache();
 }
 
+// Same-shape pipelines on separate machines share one cached plan, and
+// enqueueing on two threads at once races to prove it (the TSan CI job runs
+// this): the proof flag is atomic, and both enqueues leave it proven.
+TEST(PlanCache, ConcurrentEnqueuesProveTheSharedPlan) {
+  reset_global_cache();
+  gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  // Pageable hosts read as unpinned on both machines, so the keys agree.
+  PipelineSpec spec = stencil_spec(g0, 24, 64, /*pinned=*/false);
+  spec.chunk_size = 2;
+  spec.num_streams = 2;
+  Pipeline p0(g0, spec);
+  Pipeline p1(g1, spec);
+  ASSERT_EQ(&p0.execution_plan(), &p1.execution_plan());
+  ASSERT_FALSE(p0.execution_plan().proven());
+
+  const KernelFactory kernel = linear_kernel(64.0, 512.0);
+  std::vector<std::thread> pool;
+  for (Pipeline* p : {&p0, &p1})
+    pool.emplace_back([p, &kernel] {
+      p->enqueue(kernel);
+      p->wait();
+    });
+  for (auto& th : pool) th.join();
+  EXPECT_TRUE(p0.execution_plan().proven());
+  reset_global_cache();
+}
+
 TEST(PlanCache, MetricsExportMatchesStats) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
@@ -455,21 +485,29 @@ TEST(PlanCache, FingerprintIsLocaleIndependent) {
   const std::string c_locale_key = PlanCache::fingerprint(g, spec, 4, 2);
   EXPECT_NE(c_locale_key.find('.'), std::string::npos);  // hexfloat mantissas
 
+  // Two locales can leak in: the C library's LC_NUMERIC (printf family) and
+  // the C++ global locale (iostreams). Switch the first when the machine has
+  // a comma-decimal locale installed; always install a comma numpunct facet
+  // for the second, so the test runs everywhere.
+  struct CommaDecimal : std::numpunct<char> {
+    char do_decimal_point() const override { return ','; }
+    char do_thousands_sep() const override { return '.'; }
+    std::string do_grouping() const override { return "\3"; }
+  };
   const std::string saved = std::setlocale(LC_NUMERIC, nullptr);
-  bool switched = false;
   for (const char* name : {"de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8",
                            "de_DE", "fr_FR", "C.UTF-8@comma"})
     if (std::setlocale(LC_NUMERIC, name) != nullptr &&
-        *std::localeconv()->decimal_point == ',') {
-      switched = true;
+        *std::localeconv()->decimal_point == ',')
       break;
-    }
-  if (!switched) {
-    std::setlocale(LC_NUMERIC, saved.c_str());
-    GTEST_SKIP() << "no comma-decimal locale installed";
-  }
+  const std::locale saved_global =
+      std::locale::global(std::locale(std::locale::classic(), new CommaDecimal));
+  std::ostringstream probe;
+  probe << 1234.5;
   const std::string comma_locale_key = PlanCache::fingerprint(g, spec, 4, 2);
+  std::locale::global(saved_global);  // also resets the C locale: restore it after
   std::setlocale(LC_NUMERIC, saved.c_str());
+  ASSERT_EQ(probe.str(), "1.234,5") << "the comma facet must be in effect";
   EXPECT_EQ(comma_locale_key, c_locale_key);
   EXPECT_EQ(comma_locale_key.find(','), std::string::npos);
 }

@@ -162,34 +162,73 @@ TEST(PlanValidate, AcceptsTheBuiltPlan) {
   EXPECT_NO_THROW(p.execution_plan().validate());
 }
 
-TEST(PlanValidate, RejectsAPlanWithADeletedSlotReuseEdge) {
-  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+// Halo'd input: slot reuse must wait for the *other* stream's reader, so
+// deleting that edge leaves a genuinely unordered overwrite.
+PipelineSpec halo_spec(gpu::Gpu& g) {
   const std::int64_t n = 16, m = 8;
   std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
   std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
-  // Halo'd input: slot reuse must wait for the *other* stream's reader, so
-  // deleting the edge leaves a genuinely unordered overwrite.
   PipelineSpec spec = sweep_spec(in, out, n, m, 3);
   spec.chunk_size = 2;
   spec.num_streams = 2;
-  Pipeline p(g, spec);
+  return spec;
+}
 
-  ExecutionPlan tampered = p.execution_plan();
-  bool deleted = false;
-  for (auto& node : tampered.nodes) {
+// Deletes the deps of the first cross-stream guarded SlotReuse node.
+bool delete_cross_stream_slot_reuse(ExecutionPlan& plan) {
+  for (auto& node : plan.nodes) {
     if (node.op != PlanOp::SlotReuse) continue;
-    const bool cross_stream =
-        std::any_of(node.deps.begin(), node.deps.end(), [&](int d) {
-          return tampered.nodes[static_cast<std::size_t>(d)].stream != node.stream;
-        });
+    const bool cross_stream = std::any_of(node.deps.begin(), node.deps.end(), [&](int d) {
+      return plan.nodes[static_cast<std::size_t>(d)].stream != node.stream;
+    });
     if (cross_stream) {
       node.deps.clear();
-      deleted = true;
-      break;
+      return true;
     }
   }
-  ASSERT_TRUE(deleted) << "expected a cross-stream guarded slot reuse";
+  return false;
+}
+
+TEST(PlanValidate, RejectsAPlanWithADeletedSlotReuseEdge) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  Pipeline p(g, halo_spec(g));
+  ExecutionPlan tampered = p.execution_plan();
+  ASSERT_TRUE(delete_cross_stream_slot_reuse(tampered))
+      << "expected a cross-stream guarded slot reuse";
   EXPECT_THROW(tampered.validate(), gpu::HazardError);
+}
+
+TEST(PlanValidateOnce, HazardousPlanFailsEveryCall) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  Pipeline p(g, halo_spec(g));
+  ExecutionPlan tampered = p.execution_plan();
+  ASSERT_TRUE(delete_cross_stream_slot_reuse(tampered));
+  EXPECT_THROW(tampered.validate_once(), gpu::HazardError);
+  EXPECT_FALSE(tampered.proven());
+  EXPECT_THROW(tampered.validate_once(), gpu::HazardError);
+  EXPECT_FALSE(tampered.proven());
+}
+
+TEST(PlanValidateOnce, CopiesAndAssignmentsStartUnproven) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  Pipeline p(g, halo_spec(g));
+  const ExecutionPlan& shared = p.execution_plan();
+  shared.validate_once();
+  ASSERT_TRUE(shared.proven());
+
+  // The proof covers the object it ran on, not the graph it held: a copy
+  // edited into a hazard must still be caught.
+  ExecutionPlan copy = shared;
+  EXPECT_FALSE(copy.proven());
+  ASSERT_TRUE(delete_cross_stream_slot_reuse(copy));
+  EXPECT_THROW(copy.validate_once(), gpu::HazardError);
+
+  ExecutionPlan proven = shared;
+  proven.validate_once();
+  ASSERT_TRUE(proven.proven());
+  proven = copy;  // now holds the hazardous graph
+  EXPECT_FALSE(proven.proven());
+  EXPECT_THROW(proven.validate_once(), gpu::HazardError);
 }
 
 TEST(PlanIntrospection, DotAndChromeTraceDumpsAreWellFormed) {

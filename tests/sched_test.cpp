@@ -3,10 +3,18 @@
 // and the sched. telemetry namespace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "common/checksum.hpp"
+#include "common/export.hpp"
+#include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
 #include "core/plan.hpp"
 #include "core/plan_cache.hpp"
@@ -463,6 +471,167 @@ TEST(Scheduler, CollectMetricsPopulatesSchedNamespace) {
   reg.to_json(a);
   reg2.to_json(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// --- Scheduler: control-loop goldens -------------------------------------
+//
+// Byte-exact pins of whole runs: every JobRecord field the control loop
+// decides (times as IEEE bit patterns) and the flight-recorder JSONL,
+// digested with FNV-1a. A change to completion detection, poll order, or
+// time advancement that moves one placement, timestamp, or event fails here.
+
+std::string bits(double x) {
+  std::ostringstream os;
+  os << std::hex << std::bit_cast<std::uint64_t>(x);
+  return os.str();
+}
+
+std::string records_text(const std::vector<sched::JobRecord>& jobs) {
+  std::ostringstream os;
+  for (const sched::JobRecord& r : jobs)
+    os << r.id << ' ' << sched::to_string(r.state) << ' ' << r.device << ' '
+       << bits(r.enqueue_time) << ' ' << bits(r.start) << ' ' << bits(r.finish) << ' '
+       << r.chunk_size << ' ' << r.num_streams << ' ' << r.footprint << ' '
+       << r.admission_attempts << ' ' << r.deadline_missed << '\n';
+  return os.str();
+}
+
+std::uint64_t digest(const std::string& s) {
+  return fnv1a(std::span<const char>(s.data(), s.size()));
+}
+
+std::string events_jsonl(const telemetry::FlightRecorder& rec) {
+  EXPECT_EQ(rec.dropped(), 0u) << "golden needs the whole event stream";
+  std::ostringstream os;
+  telemetry::export_events_jsonl(os, rec);
+  return os.str();
+}
+
+// 700 Modeled tenants arriving 50 us apart (20k jobs/s) on 2 x K40m: the
+// ready queue fills, arrivals backpressure, and many tenants run at once.
+TEST(SchedulerGolden, SevenHundredJobBurstIsPinned) {
+  auto ctx = gpu::make_shared_context();
+  gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  telemetry::FlightRecorder rec(1 << 16);
+  sched::SchedulerOptions opts;
+  opts.recorder = &rec;
+  sched::Scheduler s({&g0, &g1}, opts);
+  const std::vector<sched::JobMixLine> mix = sched::synthetic_job_mix(700);
+  std::vector<sched::ServeJob> jobs;
+  jobs.reserve(mix.size());
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    jobs.push_back(sched::make_synthetic_job(mix[i], static_cast<int>(i)));
+    s.submit(jobs.back().job);
+  }
+  const sched::ScheduleReport rep = s.run();
+  const std::string events = events_jsonl(rec);
+  EXPECT_EQ(rep.completed, 700);
+  EXPECT_EQ(rep.backpressure_events, 10);
+  EXPECT_EQ(rec.total_recorded(), 2110u);
+  EXPECT_EQ(digest(records_text(rep.jobs)), 16392111430609873386ULL);
+  EXPECT_EQ(digest(events), 2276878205084549653ULL);
+}
+
+// A sharded job loses every device inside its first round and gets device
+// 0 back later: the round boundary finds no device, so the job stalls
+// (not done, not complete) until the join event, then finishes solo. A
+// small tenant arriving during the outage backs off until the join.
+TEST(SchedulerGolden, ShardedRunThroughADeviceOutageIsPinned) {
+  sched::JobMixLine big;
+  big.app = "stencil";
+  big.size = "large";
+  sched::JobMixLine small{"stream", "small", 0, 0.0, {}};
+  sched::SchedulerOptions opts;
+  opts.shard_threshold = 1;
+  opts.reshard_interval = sched::make_serve_job(big, 0).job.spec.iterations() / 4;
+
+  auto run = [&](telemetry::FlightRecorder* rec) {
+    Machine m(2);
+    sched::SchedulerOptions o = opts;
+    o.recorder = rec;
+    sched::Scheduler s(m.devices, o);
+    std::vector<sched::ServeJob> jobs;
+    jobs.push_back(sched::make_serve_job(big, 0));
+    jobs.push_back(sched::make_serve_job(small, 1));
+    for (const auto& j : jobs) s.submit(j.job);
+    MixRun r;
+    r.report = s.run();
+    for (const auto& j : jobs) {
+      EXPECT_TRUE(j.verify()) << j.job.name;
+      r.checksums.push_back(j.output_checksum());
+    }
+    return r;
+  };
+
+  // The unperturbed run fixes the timeline: both devices leave early in
+  // round 1 and device 0 rejoins well after round 1's boundary.
+  telemetry::FlightRecorder ref_rec;
+  const sched::JobRecord ref = run(&ref_rec).report.jobs[0];
+  SimTime first_boundary = ref.finish;
+  for (const auto& ev : ref_rec.events())
+    if (ev.kind == telemetry::FlightEventKind::Reshard)
+      first_boundary = std::min(first_boundary, ev.time);
+  const SimTime service = ref.finish - ref.start;
+  const SimTime leave = ref.start + 0.05 * service;
+  const SimTime join = first_boundary + 0.5 * service;
+  opts.device_events = {{leave, 0, false}, {leave, 1, false}, {join, 0, true}};
+  small.arrival = leave;
+
+  telemetry::FlightRecorder rec;
+  const MixRun out = run(&rec);
+  ASSERT_EQ(out.report.completed, 2);
+  // Round 1 drained during the outage; round 2 waited for the join and ran
+  // on device 0 alone.
+  const std::vector<telemetry::FlightEvent> events = rec.events();
+  const auto relaunch = std::find_if(events.begin(), events.end(), [](const auto& ev) {
+    return ev.kind == telemetry::FlightEventKind::Reshard;
+  });
+  ASSERT_NE(relaunch, events.end());
+  EXPECT_GE(relaunch->time, join);
+  EXPECT_GT(join, first_boundary);
+  EXPECT_EQ(relaunch->a, 0b01);
+  EXPECT_EQ(rec.total_recorded(), 18u);
+  EXPECT_EQ(digest(records_text(out.report.jobs)), 12601611797072402288ULL);
+  EXPECT_EQ(digest(events_jsonl(rec)), 13857403784434871164ULL);
+}
+
+// --- Scheduler: completion-hook lifetime ---------------------------------
+
+// A run abandoned by an exception leaves completion hooks armed on events
+// that still fire: while the scheduler tears down its pipelines, and
+// whenever the shared context is stepped afterwards. The hooks must not
+// reach into the dead scheduler (the ASan CI job runs this test).
+TEST(SchedulerLifetime, AbandonedRunLeavesNoDanglingCompletionHook) {
+  auto ctx = gpu::make_shared_context();
+  gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  const std::vector<sched::JobMixLine> mix = sched::synthetic_job_mix(24);
+  std::vector<sched::ServeJob> jobs;
+  for (std::size_t i = 0; i < mix.size(); ++i)
+    jobs.push_back(sched::make_synthetic_job(mix[i], static_cast<int>(i)));
+
+  // A watchdog whose trip handler throws aborts run() between events, with
+  // jobs admitted and in flight.
+  telemetry::WatchdogOptions wo;
+  wo.stall_timeout = 1e-5;
+  telemetry::Watchdog wd(wo);
+  wd.on_trip = [](const telemetry::WatchdogTrip&) { throw std::runtime_error("abandon"); };
+  sched::SchedulerOptions opts;
+  opts.watchdog = &wd;
+  opts.sample_every = 1e-5;
+  {
+    sched::Scheduler s({&g0, &g1}, opts);
+    for (const auto& j : jobs) s.submit(j.job);
+    EXPECT_THROW(s.run(), std::runtime_error);
+    EXPECT_GT(ctx->sim.events_pending(), 0u) << "the run must abandon work in flight";
+  }
+  ctx->sim.run_all();
+
+  // The machine stays usable: a fresh scheduler runs a job to completion.
+  sched::Scheduler again({&g0, &g1}, {});
+  again.submit(jobs[0].job);
+  EXPECT_EQ(again.run().completed, 1);
 }
 
 // --- Workloads ------------------------------------------------------------
