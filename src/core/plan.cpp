@@ -961,8 +961,9 @@ void PlanExecutor::wait() {
 // --- Cost-model dry run ---
 
 DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profile,
-                     const DryRunCost& cost) {
+                     const DryRunCost& cost, DryRunTrace mode) {
   DryRunResult out;
+  const bool traced = mode == DryRunTrace::Spans;
   sim::Simulator sim;
   sim::Engine h2d(sim, "h2d", profile.h2d_engines);
   std::unique_ptr<sim::Engine> d2h_sep;
@@ -982,19 +983,34 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
   std::vector<const sim::Task*> seen;
 
   auto lane = [](int s) { return "s" + std::to_string(s); };
-  std::vector<StringId> lane_ids(static_cast<std::size_t>(plan.num_streams));
-  for (int s = 0; s < plan.num_streams; ++s)
-    lane_ids[static_cast<std::size_t>(s)] = out.trace.intern(lane(s));
+  std::vector<StringId> lane_ids;
+  if (traced) {
+    lane_ids.resize(static_cast<std::size_t>(plan.num_streams));
+    for (int s = 0; s < plan.num_streams; ++s)
+      lane_ids[static_cast<std::size_t>(s)] = out.trace.intern(lane(s));
+  }
+  // Makespan-only runs give every task one empty label: nothing is formatted
+  // or hashed per task. Labels never feed the clock, so the timeline (and
+  // the makespan) is the same either way.
+  const StringId unlabeled = command.arena().intern({});
 
+  // `label` is a callable producing the task's label; only traced runs call
+  // it (and record the span).
   auto submit = [&](int stream, sim::Engine& engine, SimTime dur, sim::SpanKind kind,
-                    const std::string& label, Bytes bytes, std::int64_t node) {
+                    auto&& label, Bytes bytes, std::int64_t node) {
     host += profile.api_call_host_overhead;
     if (&engine != &command) dur += sched;
-    auto t = sim::Task::create(engine, dur, label);
+    sim::TaskPtr t;
+    if (traced) {
+      const std::string& text = label();
+      t = sim::Task::create(engine, dur, text);
+      t->set_span(out.trace, kind, lane_ids[static_cast<std::size_t>(stream)],
+                  out.trace.intern(text), bytes, node);
+    } else {
+      t = sim::Task::create(engine, dur, unlabeled);
+    }
     sim::TaskPtr& tl = tail[static_cast<std::size_t>(stream)];
     if (tl) t->depends_on(tl);
-    t->set_span(out.trace, kind, lane_ids[static_cast<std::size_t>(stream)],
-                out.trace.intern(label), bytes, node);
     t->submit(host);
     tl = t;
     return t;
@@ -1002,7 +1018,8 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
 
   auto wait_on = [&](int stream, const sim::TaskPtr& ev) {
     host += profile.api_call_host_overhead;
-    auto t = sim::Task::create(command, 0.0, "wait-event(" + lane(stream) + ")");
+    auto t = traced ? sim::Task::create(command, 0.0, "wait-event(" + lane(stream) + ")")
+                    : sim::Task::create(command, 0.0, unlabeled);
     sim::TaskPtr& tl = tail[static_cast<std::size_t>(stream)];
     if (tl) t->depends_on(tl);
     t->depends_on(ev);
@@ -1044,9 +1061,10 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
                               static_cast<double>(total) / bw;
           const char* what =
               in ? (seg.height > 1 ? "h2d2D" : "h2d") : (seg.height > 1 ? "d2h2D" : "d2h");
-          submit(n.stream, in ? h2d : d2h, dur,
-                 in ? sim::SpanKind::H2D : sim::SpanKind::D2H,
-                 std::string(what) + "[" + std::to_string(total) + "B]", total, n.id);
+          submit(
+              n.stream, in ? h2d : d2h, dur, in ? sim::SpanKind::H2D : sim::SpanKind::D2H,
+              [&] { return std::string(what) + "[" + std::to_string(total) + "B]"; },
+              total, n.id);
         }
         break;
       }
@@ -1062,7 +1080,8 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
         } else {
           dur += cost.seconds_per_iter * iters;
         }
-        submit(n.stream, compute, dur, sim::SpanKind::Kernel, n.label, kernel_bytes, n.id);
+        submit(n.stream, compute, dur, sim::SpanKind::Kernel,
+               [&]() -> const std::string& { return n.label; }, kernel_bytes, n.id);
         break;
       }
       case PlanOp::P2pSend:
@@ -1076,9 +1095,12 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
           const double bw = send ? profile.pcie_bandwidth : profile.mem_bandwidth;
           const SimTime dur =
               profile.copy_setup_latency + static_cast<double>(total) / bw;
-          submit(n.stream, h2d, dur, sim::SpanKind::D2D,
-                 std::string(send ? "p2p" : "d2d") + "[" + std::to_string(total) + "B]",
-                 total, n.id);
+          submit(
+              n.stream, h2d, dur, sim::SpanKind::D2D,
+              [&] {
+                return std::string(send ? "p2p" : "d2d") + "[" + std::to_string(total) + "B]";
+              },
+              total, n.id);
         }
         break;
       }
@@ -1090,8 +1112,9 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
           const Bytes total = seg.bytes();
           const SimTime dur = profile.copy_setup_latency +
                               static_cast<double>(total) / profile.mem_bandwidth;
-          submit(n.stream, h2d, dur, sim::SpanKind::D2D,
-                 "handoff[" + std::to_string(total) + "B]", total, n.id);
+          submit(
+              n.stream, h2d, dur, sim::SpanKind::D2D,
+              [&] { return "handoff[" + std::to_string(total) + "B]"; }, total, n.id);
         }
         break;
       }
@@ -1101,8 +1124,8 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
     }
     if (n.records_event)
       event_task[static_cast<std::size_t>(n.id)] =
-          submit(n.stream, command, 0.0, sim::SpanKind::Sync, "event(" + lane(n.stream) + ")",
-                 0, n.id);
+          submit(n.stream, command, 0.0, sim::SpanKind::Sync,
+                 [&] { return "event(" + lane(n.stream) + ")"; }, 0, n.id);
   }
 
   // Drain stream by stream exactly like PlanExecutor::wait: one API charge
@@ -1123,7 +1146,13 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
 SimTime estimate_pipeline_runtime(const gpu::Gpu& g, PipelineSpec spec,
                                   const DryRunCost& cost, Bytes limit) {
   spec.validate();
-  Bytes budget = limit == 0 ? g.device_mem_free() : std::min(limit, g.device_mem_free());
+  const Bytes budget =
+      limit == 0 ? g.device_mem_free() : std::min(limit, g.device_mem_free());
+  return estimate_pipeline_runtime_at(g, std::move(spec), cost, budget);
+}
+
+SimTime estimate_pipeline_runtime_at(const gpu::Gpu& g, PipelineSpec spec,
+                                     const DryRunCost& cost, Bytes budget) {
   const SolvedShape solved = solve_pipeline_shape(g, spec, budget);
   spec.chunk_size = solved.chunk_size;
   spec.num_streams = solved.num_streams;

@@ -439,13 +439,22 @@ struct DryRunResult {
   sim::Trace trace;
 };
 
+/// What a dry run records besides its makespan.
+enum class DryRunTrace {
+  Spans,         ///< the planned timeline: one labelled span per task
+  MakespanOnly,  ///< no labels formatted or interned, no spans recorded
+};
+
 /// Replays `plan` through a private discrete-event simulation using the
 /// same engine topology, API overheads, transfer-bandwidth curve, and
 /// event/wait semantics as gpu::Gpu — but with zero device interaction: no
 /// allocations, no kernels, no copies. The returned makespan matches what
 /// executing the plan on an idle Gpu with the same profile would measure.
+/// DryRunTrace::MakespanOnly leaves `trace` empty and skips all span
+/// bookkeeping (callers that keep only the number: the plan cache's
+/// estimate memo, the fusion gate); the makespan is bit-identical.
 DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profile,
-                     const DryRunCost& cost = {});
+                     const DryRunCost& cost = {}, DryRunTrace mode = DryRunTrace::Spans);
 
 /// Solo-runtime estimate of `spec` on `g`: solves the memory limit under
 /// `limit` (0 = the device's free memory), plans the region at the solved
@@ -454,5 +463,13 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
 /// in src/sched rank jobs with this number.
 SimTime estimate_pipeline_runtime(const gpu::Gpu& g, PipelineSpec spec,
                                   const DryRunCost& cost = {}, Bytes limit = 0);
+
+/// estimate_pipeline_runtime against a budget fixed earlier: solves the
+/// shape under exactly `budget` (the device's free memory is not read) and
+/// scores it. `spec` must already be validated. The scheduler records each
+/// job's budget at submit() and estimates at arrival, when other tenants'
+/// rings already hold device memory.
+SimTime estimate_pipeline_runtime_at(const gpu::Gpu& g, PipelineSpec spec,
+                                     const DryRunCost& cost, Bytes budget);
 
 }  // namespace gpupipe::core

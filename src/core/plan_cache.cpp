@@ -305,7 +305,7 @@ SimTime PlanCache::estimate(const gpu::Gpu& g, const PipelineSpec& spec,
                             const DryRunCost& cost) {
   if (!usable(spec)) {
     const Compiled built = raw_compile(g, spec);
-    return dry_run(*built.plan, g.profile(), cost).makespan;
+    return dry_run(*built.plan, g.profile(), cost, DryRunTrace::MakespanOnly).makespan;
   }
   std::string key = "est|" + fingerprint(g, spec, spec.chunk_size, spec.num_streams);
   append_f64(key, cost.flops_per_iter);
@@ -316,7 +316,8 @@ SimTime PlanCache::estimate(const gpu::Gpu& g, const PipelineSpec& spec,
   if (auto e = disk_load(key)) return e->makespan;
   const Compiled built = compile(g, spec);
   auto e = std::make_shared<Entry>();
-  e->makespan = dry_run(*built.plan, g.profile(), cost).makespan;
+  e->makespan =
+      dry_run(*built.plan, g.profile(), cost, DryRunTrace::MakespanOnly).makespan;
   e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry);
   const SimTime makespan = e->makespan;
   disk_store(key, *e);

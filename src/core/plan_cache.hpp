@@ -3,8 +3,8 @@
 // The scheduler's admission loop and the serving front end call the same
 // planning pipeline over and over: predicted_pipeline_footprint on every
 // admission attempt (including each backoff retry), a full
-// build-plus-optimize in estimate_pipeline_runtime per submitted job, and
-// another in Pipeline's constructor once the job starts. For repeated
+// build-plus-optimize in estimate_pipeline_runtime per arriving job, and a
+// plan lookup in Pipeline's constructor once the job starts. For repeated
 // tenants every one of those calls recomputes a pure function of (device
 // profile, spec shape). This module memoizes the three expensive results —
 // the predicted ring footprint at a shape, the built+optimized full-loop

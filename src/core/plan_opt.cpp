@@ -656,9 +656,10 @@ OptReport optimize_plan(ExecutionPlan& plan, int opt_level,
     t0 = Clock::now();
     ExecutionPlan before = plan;
     PassStats s = fusion_pass(plan);
+    constexpr DryRunTrace kGate = DryRunTrace::MakespanOnly;
     if (s.nodes_removed > 0 && profile != nullptr &&
-        dry_run(plan, *profile, cost).makespan >
-            dry_run(before, *profile, cost).makespan) {
+        dry_run(plan, *profile, cost, kGate).makespan >
+            dry_run(before, *profile, cost, kGate).makespan) {
       plan = std::move(before);
       s.pass = "fusion(reverted)";
       s.nodes_removed = 0;

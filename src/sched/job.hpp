@@ -98,7 +98,7 @@ struct JobRecord {
   SimTime enqueue_time = 0.0;  ///< entered the ready queue (backpressure delays this)
   SimTime start = 0.0;         ///< admitted and enqueued on the device
   SimTime finish = 0.0;        ///< timestamp of its last stream event
-  SimTime estimate = 0.0;      ///< dry-run solo estimate (the SJF rank key)
+  SimTime estimate = 0.0;      ///< dry-run solo estimate (the SJF rank key), set at arrival
   Bytes footprint = 0;         ///< committed device ring-buffer bytes
   std::int64_t chunk_size = 0; ///< admitted shape
   int num_streams = 0;

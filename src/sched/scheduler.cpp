@@ -86,6 +86,24 @@ int Scheduler::submit(Job job) {
   r.trace_id = job.trace_id >= 0 ? job.trace_id : static_cast<std::int32_t>(id);
   r.priority = job.priority;
   r.arrival = job.arrival;
+  // The solo estimate waits for the job's arrival (estimate_arrival), right
+  // before its plan is used, so a one-off shape compiles once while its
+  // plan is still cached. Its memory budget is fixed now, the way
+  // estimate_pipeline_runtime would read it here: by arrival, device 0
+  // holds other tenants' rings.
+  const Bytes cap = admission_.cap(0);
+  const Bytes mem_free = devices_[0]->device_mem_free();
+  estimate_budget_.push_back(cap == 0 ? mem_free : std::min(cap, mem_free));
+
+  jobs_.push_back(std::move(job));
+  records_.push_back(std::move(r));
+  stalled_.push_back(0);
+  return id;
+}
+
+void Scheduler::estimate_arrival(int id) {
+  const std::size_t idx = static_cast<std::size_t>(id);
+  const Job& job = jobs_[idx];
   core::DryRunCost cost;
   cost.flops_per_iter = job.flops_per_iter;
   cost.bytes_per_iter = job.bytes_per_iter;
@@ -93,18 +111,13 @@ int Scheduler::submit(Job job) {
     // Estimated against the first device: placement assumes a homogeneous
     // machine (the usual serving setup; MultiPipeline handles heterogeneous
     // splits of a single region).
-    r.estimate = core::estimate_pipeline_runtime(*devices_[0], job.spec, cost,
-                                                 admission_.cap(0));
+    records_[idx].estimate = core::estimate_pipeline_runtime_at(
+        *devices_[0], job.spec, cost, estimate_budget_[idx]);
   } catch (const gpu::OomError&) {
     // Cannot fit even an idle device; dispatch rejects it through the
     // normal impossible() path.
-    r.estimate = kInf;
+    records_[idx].estimate = kInf;
   }
-
-  jobs_.push_back(std::move(job));
-  records_.push_back(std::move(r));
-  stalled_.push_back(0);
-  return id;
 }
 
 // --- Control loop ---
@@ -241,6 +254,12 @@ bool Scheduler::intake() {
     const int id = arrival_order_[next_pending_];
     const std::size_t idx = static_cast<std::size_t>(id);
     if (jobs_[idx].arrival > host_now()) break;
+    // First sight of this arrival (a backpressured head comes back on every
+    // pass): estimate it before the queue or the lineage wait needs the key.
+    if (next_pending_ == estimated_) {
+      estimate_arrival(id);
+      ++estimated_;
+    }
     if (!jobs_[idx].inputs.empty()) {
       // Lineage consumer: hold it out of the ready queue until every
       // producer is terminal — queued it would only burn admission attempts
@@ -1069,11 +1088,18 @@ void Scheduler::collect_metrics(telemetry::Registry& reg, const std::string& pre
   auto& wait = reg.histogram(p + "wait_s", time_bounds());
   auto& service = reg.histogram(p + "service_s", time_bounds());
   auto& turnaround = reg.histogram(p + "turnaround_s", time_bounds());
+  // Serve-level model error: how far the solo dry-run estimate (the SJF and
+  // least-loaded key) lands from the service time the job got under
+  // contention.
+  auto& est_error = reg.histogram(p + "estimate_rel_error",
+                                  {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0});
   for (const JobRecord& r : records_) {
     if (r.state != JobState::Completed) continue;
     wait.observe(r.wait());
     service.observe(r.service());
     turnaround.observe(r.turnaround());
+    if (std::isfinite(r.estimate) && r.service() > 0.0)
+      est_error.observe(std::abs(r.service() - r.estimate) / r.service());
   }
   auto& depth = reg.histogram(p + "queue_depth", {0, 1, 2, 4, 8, 16, 32});
   for (std::size_t d : queue_depth_samples_) depth.observe(static_cast<double>(d));

@@ -154,8 +154,9 @@ class Scheduler {
   ~Scheduler();
 
   /// Registers a job; returns its id (== submission index). The solo
-  /// runtime estimate (SJF rank, least-loaded weight) is computed here with
-  /// a cost-model dry run against the first device's profile.
+  /// runtime estimate (SJF rank, least-loaded weight) is a cost-model dry
+  /// run against the first device's profile, computed once when the job
+  /// arrives in run() — against the memory budget device 0 offered here.
   int submit(Job job);
 
   /// Executes every submitted job to completion or rejection. Call once.
@@ -249,6 +250,8 @@ class Scheduler {
   bool poll_completions();
   /// Hooks `events` so job `id` reads done once every one of them fired.
   void arm_completion(int id, const std::vector<gpu::EventPtr>& events);
+  /// Sets records_[id].estimate from the budget submit() recorded.
+  void estimate_arrival(int id);
   bool intake();
   bool dispatch();
   /// Applies scripted DeviceEvents whose time has passed.
@@ -314,8 +317,10 @@ class Scheduler {
   std::vector<Job> jobs_;
   std::vector<JobRecord> records_;
   std::vector<char> stalled_;  ///< backpressure counted once per job
+  std::vector<Bytes> estimate_budget_;  ///< device-0 budget at submit()
   std::vector<int> arrival_order_;
   std::size_t next_pending_ = 0;
+  std::size_t estimated_ = 0;  ///< arrival_order_ prefix already estimated
   std::vector<Active> active_;
   std::shared_ptr<CompletionBoard> board_ = std::make_shared<CompletionBoard>();
   int stalled_shards_ = 0;  ///< sharded jobs waiting for a device between rounds

@@ -126,6 +126,11 @@ TEST(PlanSerialize, PlanArtifactRoundTripIsByteExact) {
   // Re-serializing the decoded artifact reproduces the input byte for byte:
   // nothing is lost, reordered, or re-encoded differently.
   EXPECT_EQ(serialize_artifact(out), bytes);
+  // Records are reproducible: pass wall times stay out of the wire format
+  // (v4), so an independent compile of the same spec writes the same bytes.
+  for (const PassStats& ps : out.report.passes) EXPECT_EQ(ps.elapsed_s, 0.0) << ps.pass;
+  PlanCache other(8);
+  EXPECT_EQ(serialize_artifact(make_plan_artifact(g, other, spec)), bytes);
 }
 
 TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
@@ -228,6 +233,10 @@ TEST(PlanSerialize, DeserializeRejectsEveryMutation) {
   // format-version u32), as is a foreign magic (offset 0).
   EXPECT_FALSE(
       deserialize_artifact(patch_u32(bytes, 4, kPlanFormatVersion + 1), out, &error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  // So is the previous version: v3 records carried pass wall times.
+  EXPECT_FALSE(
+      deserialize_artifact(patch_u32(bytes, 4, kPlanFormatVersion - 1), out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
   EXPECT_FALSE(deserialize_artifact(patch_u32(bytes, 0, 0xdeadbeefu), out, &error));
   // Unknown artifact kind (offset 8) with a valid checksum.

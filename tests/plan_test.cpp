@@ -1,9 +1,12 @@
 // Tests for the ExecutionPlan IR: executed timelines respect the plan's
 // dependency edges across chunk/stream/window sweeps, static validation
-// rejects tampered plans, and the introspection dumps are well-formed.
+// rejects tampered plans, the introspection dumps are well-formed, and
+// makespan-only dry runs match traced ones bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -11,6 +14,7 @@
 
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
+#include "core/plan_opt.hpp"
 #include "gpu/device_profile.hpp"
 #include "gpu/hazard.hpp"
 
@@ -281,6 +285,110 @@ TEST(PlanDryRun, TracksExecutedRegionTime) {
   const SimTime planned = dry_run(p.execution_plan(), g.profile(), cost).makespan;
   EXPECT_GT(planned, 0.8 * executed);
   EXPECT_LT(planned, 1.25 * executed);
+}
+
+// --- Makespan-only dry runs ----------------------------------------------
+
+std::byte dummy_in[8];
+std::byte dummy_out[8];
+
+/// sweep_spec over `nz` planes at a shape; plan building never dereferences
+/// the host pointers.
+PipelineSpec grid_spec(std::int64_t nz, std::int64_t plane, std::int64_t window,
+                       std::int64_t chunk, int streams, int opt) {
+  PipelineSpec spec = sweep_spec(dummy_in, dummy_out, nz, plane, window);
+  spec.chunk_size = chunk;
+  spec.num_streams = streams;
+  spec.opt_level = opt;
+  return spec;
+}
+
+int count_op(const ExecutionPlan& plan, PlanOp op) {
+  return static_cast<int>(std::count_if(plan.nodes.begin(), plan.nodes.end(),
+                                        [op](const PlanNode& n) { return n.op == op; }));
+}
+
+// The trace-free replay must land on the traced makespan to the bit, and
+// record nothing: no spans, no interned lane or label.
+void expect_makespan_only_matches(const ExecutionPlan& plan, const gpu::DeviceProfile& profile,
+                                  const DryRunCost& cost) {
+  const DryRunResult traced = dry_run(plan, profile, cost);
+  const DryRunResult bare = dry_run(plan, profile, cost, DryRunTrace::MakespanOnly);
+  EXPECT_GT(traced.makespan, 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bare.makespan),
+            std::bit_cast<std::uint64_t>(traced.makespan))
+      << profile.name << ": " << bare.makespan << " vs " << traced.makespan;
+  EXPECT_FALSE(traced.trace.spans().empty());
+  EXPECT_TRUE(bare.trace.spans().empty());
+  EXPECT_EQ(bare.trace.strings().size(), 1u) << "only the table's own empty string";
+}
+
+std::vector<gpu::DeviceProfile> dry_run_profiles() {
+  // Both paper devices, plus a split-DMA variant so the separate D2H engine
+  // path of the replay is covered too.
+  gpu::DeviceProfile split = gpu::nvidia_k40m();
+  split.unified_copy_engine = false;
+  return {gpu::nvidia_k40m(), gpu::amd_hd7970(), split};
+}
+
+DryRunCost roofline_cost(std::int64_t plane, int live_streams) {
+  DryRunCost cost;
+  cost.flops_per_iter = 8.0 * static_cast<double>(plane);
+  cost.bytes_per_iter = 16.0 * static_cast<double>(plane);
+  cost.live_streams = live_streams;
+  return cost;
+}
+
+TEST(PlanDryRunMakespanOnly, MatchesTracedOnPaperShapes) {
+  // Fig. 4's stencil (256 x 256 x 64 grid, chunk 4) and Fig. 7's
+  // convolution (256^3 volume, chunk 1), unoptimized and optimized.
+  for (int opt : {0, 1}) {
+    for (const PipelineSpec& spec : {grid_spec(64, 256 * 256, 3, 4, 3, opt),
+                                     grid_spec(256, 256 * 256, 3, 1, 4, opt)}) {
+      ExecutionPlan plan = PlanBuilder::pipeline(spec);
+      if (opt > 0) optimize_plan(plan, opt);
+      for (const gpu::DeviceProfile& profile : dry_run_profiles()) {
+        expect_makespan_only_matches(plan, profile, {});
+        expect_makespan_only_matches(plan, profile,
+                                     roofline_cost(256 * 256, spec.num_streams + 2));
+      }
+    }
+  }
+}
+
+TEST(PlanDryRunMakespanOnly, MatchesTracedOnShardedStitchedAndFusedPlans) {
+  const DryRunCost cost = roofline_cost(4096, 0);
+
+  // Two shards of one region: each side carries P2P halo nodes.
+  const std::vector<ShardSlice> slices =
+      shard_pipeline_specs(grid_spec(96, 4096, 3, 8, 2, 1), {1.0, 1.0});
+  ASSERT_EQ(slices.size(), 2u);
+  const ExecutionPlan recv_side = PlanBuilder::pipeline(slices[0].spec);
+  const ExecutionPlan send_side = PlanBuilder::pipeline(slices[1].spec);
+  ASSERT_GT(count_op(recv_side, PlanOp::P2pRecv), 0);
+  ASSERT_GT(count_op(send_side, PlanOp::P2pSend), 0);
+
+  // A mid-chain stitched job: its input lands from one handoff link and its
+  // output is stashed into another.
+  PipelineSpec mid = grid_spec(48, 4096, 1, 4, 2, 1);
+  mid.handoffs = {{0, 0, false}, {1, 1, true}};
+  const ExecutionPlan stitched = PlanBuilder::pipeline(mid);
+  ASSERT_GT(count_op(stitched, PlanOp::DeviceHandoff), 0);
+
+  // Opt level 2 without a profile fuses adjacent launches of an output-only
+  // region planned against a full-length ring.
+  PipelineSpec sink = grid_spec(16, 4096, 1, 2, 1, 0);
+  sink.arrays = {sink.arrays[1]};
+  PipelineBuildState state;
+  state.ring_lens = {16};
+  state.pinned = {true};
+  ExecutionPlan fused = PlanBuilder::pipeline(sink, 2, 1, 0, 16, state);
+  ASSERT_GT(optimize_plan(fused, 2).fused_kernels, 0);
+
+  const std::vector<const ExecutionPlan*> plans = {&recv_side, &send_side, &stitched, &fused};
+  for (const ExecutionPlan* plan : plans)
+    for (const gpu::DeviceProfile& profile : dry_run_profiles())
+      expect_makespan_only_matches(*plan, profile, cost);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -296,6 +298,44 @@ TEST(Scheduler, RejectsJobThatCannotFitAnIdleDevice) {
   EXPECT_FALSE(rep.jobs[0].reject_reason.empty());
 }
 
+// --- Scheduler: solo estimates --------------------------------------------
+
+// The estimate is computed when the job arrives but solves against the
+// budget device 0 offered at submit(): here a wide tenant holds most of
+// device 0 when the second one arrives, so admission has to shrink the
+// newcomer, while its estimate still ranks the shape it asked for.
+TEST(Scheduler, EstimateSolvesAgainstTheSubmitTimeBudget) {
+  auto wide_job = [](int index, SimTime arrival) {
+    sched::ServeJob sj =
+        sched::make_synthetic_job({"stream", "small", 0, arrival, {}}, index);
+    for (core::ArraySpec& a : sj.job.spec.arrays)
+      a.dims[1] = static_cast<std::int64_t>(192 * MiB / sizeof(double));
+    return sj;
+  };
+  auto ctx = gpu::make_shared_context();
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+  sched::Scheduler s({&g}, {});
+  const sched::ServeJob first = wide_job(0, 0.0);
+  const sched::ServeJob second = wide_job(1, 0.1);
+  s.submit(first.job);
+  s.submit(second.job);
+  const sched::ScheduleReport rep = s.run();
+  ASSERT_EQ(rep.completed, 2);
+  const sched::JobRecord& a = rep.jobs[0];
+  const sched::JobRecord& b = rep.jobs[1];
+  ASSERT_LT(b.start, a.finish) << "the second tenant must arrive while the first runs";
+  ASSERT_TRUE(b.shrunk) << "device 0 must be short of memory at the second arrival";
+
+  gpu::Gpu idle(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  core::DryRunCost cost;
+  cost.flops_per_iter = second.job.flops_per_iter;
+  cost.bytes_per_iter = second.job.bytes_per_iter;
+  EXPECT_EQ(b.estimate, core::estimate_pipeline_runtime(idle, second.job.spec, cost));
+  // What reading device 0's free memory at arrival would have ranked.
+  const Bytes live = idle.device_mem_free() - a.footprint;
+  EXPECT_NE(b.estimate, core::estimate_pipeline_runtime(idle, second.job.spec, cost, live));
+}
+
 // --- Scheduler: policy behavior under contention --------------------------
 
 // One slot of device memory, a burst of three jobs: the policy decides who
@@ -464,6 +504,17 @@ TEST(Scheduler, CollectMetricsPopulatesSchedNamespace) {
   ASSERT_TRUE(hist.count("serve.sched.turnaround_s"));
   EXPECT_EQ(hist.at("serve.sched.wait_s").count(), 8);
   EXPECT_EQ(hist.at("serve.sched.turnaround_s").count(), 8);
+  // Serve-level model error: one observation per completed job, each
+  // |service - estimate| / service of that job's record.
+  ASSERT_TRUE(hist.count("serve.sched.estimate_rel_error"));
+  const auto& err = hist.at("serve.sched.estimate_rel_error");
+  EXPECT_EQ(err.count(), rep.completed);
+  double err_sum = 0.0;
+  for (const sched::JobRecord& r : rep.jobs) {
+    EXPECT_GT(r.estimate, 0.0) << r.name;
+    err_sum += std::abs(r.service() - r.estimate) / r.service();
+  }
+  EXPECT_DOUBLE_EQ(err.sum(), err_sum);
   // The snapshot is reproducible: two collections print identically.
   telemetry::Registry reg2;
   s.collect_metrics(reg2, "serve.");
@@ -594,6 +645,148 @@ TEST(SchedulerGolden, ShardedRunThroughADeviceOutageIsPinned) {
   EXPECT_EQ(rec.total_recorded(), 18u);
   EXPECT_EQ(digest(records_text(out.report.jobs)), 12601611797072402288ULL);
   EXPECT_EQ(digest(events_jsonl(rec)), 13857403784434871164ULL);
+}
+
+// The record fields the goldens above predate: the SJF key and the reason.
+std::string estimates_text(const std::vector<sched::JobRecord>& jobs) {
+  std::ostringstream os;
+  for (const sched::JobRecord& r : jobs)
+    os << r.id << ' ' << bits(r.estimate) << ' ' << r.reject_reason << '\n';
+  return os.str();
+}
+
+// `n` Modeled tenants `spacing` apart, each with its own shape: distinct
+// row counts (37 is coprime with 385), chunk sizes and stream counts cycling
+// through 4 x 4 combinations. Nearly every job plans a one-off region.
+std::vector<sched::ServeJob> distinct_shape_jobs(int n, SimTime spacing) {
+  const std::vector<sched::JobMixLine> mix = sched::synthetic_job_mix(n);
+  std::vector<sched::ServeJob> jobs;
+  jobs.reserve(mix.size());
+  for (int i = 0; i < n; ++i) {
+    sched::JobMixLine line = mix[static_cast<std::size_t>(i)];
+    line.arrival = spacing * static_cast<double>(i);
+    sched::ServeJob sj = sched::make_synthetic_job(line, i);
+    const std::int64_t rows = 64 + (37 * i) % 385;
+    const std::int64_t out_rows = sj.app == "stencil" ? rows - 2 : rows;
+    core::PipelineSpec& spec = sj.job.spec;
+    spec.arrays[0].dims[0] = rows;
+    spec.arrays[1].dims[0] = out_rows;
+    spec.loop_end = out_rows;
+    spec.chunk_size = std::array<std::int64_t, 4>{4, 8, 16, 32}[i % 4];
+    spec.num_streams = 1 + (i / 4) % 4;
+    sj.rows = rows;
+    jobs.push_back(std::move(sj));
+  }
+  return jobs;
+}
+
+// 300 one-off shapes under SJF at 500 jobs/s on 2 x K40m capped at 48 MiB:
+// tenants wait for memory, the queue fills (and backpressures past 32
+// slots), and every pick ranks jobs by their estimates. A
+// 3-stage lineage chain arrives mid-run whose head (8 GiB rows) cannot fit
+// an idle device: the head is rejected as impossible, its consumers with
+// reason "lineage".
+TEST(SchedulerGolden, DistinctShapeSjfMixWithARejectedChainIsPinned) {
+  auto run = [](telemetry::FlightRecorder* rec, telemetry::TimeSeriesStore* series,
+                telemetry::Registry* reg) {
+    auto ctx = gpu::make_shared_context();
+    gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+    gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+    sched::SchedulerOptions opts;
+    opts.queue_policy = sched::QueuePolicy::Sjf;
+    opts.device_mem_cap = 48 * MiB;
+    opts.queue_capacity = 32;
+    opts.recorder = rec;
+    opts.series = series;
+    if (series) opts.sample_every = 0.005;
+    sched::Scheduler s({&g0, &g1}, opts);
+    std::vector<sched::ServeJob> jobs = distinct_shape_jobs(300, 0.002);
+    for (int k = 0; k < 3; ++k) {
+      sched::JobMixLine line{"stream", "small", 0, 0.3 + 0.001 * k, {}};
+      const int id = static_cast<int>(jobs.size());
+      sched::ServeJob sj = sched::make_synthetic_job(line, id);
+      if (k == 0) {
+        for (core::ArraySpec& a : sj.job.spec.arrays) a.dims[1] = std::int64_t{1} << 30;
+      } else {
+        sj.job.consumes(id - 1, "in", "out");
+      }
+      jobs.push_back(std::move(sj));
+    }
+    for (const auto& j : jobs) s.submit(j.job);
+    const sched::ScheduleReport rep = s.run();
+    if (reg) s.collect_metrics(*reg);
+    return rep;
+  };
+
+  telemetry::FlightRecorder rec(1 << 16);
+  telemetry::Registry reg;
+  const sched::ScheduleReport rep = run(&rec, nullptr, &reg);
+  EXPECT_EQ(rep.completed, 300);
+  EXPECT_EQ(rep.rejected, 3);
+  EXPECT_EQ(rep.jobs[300].reject_reason, "does not fit an idle device at chunk 1 / stream 1");
+  EXPECT_TRUE(std::isinf(rep.jobs[300].estimate));
+  for (int k : {301, 302}) {
+    EXPECT_EQ(rep.jobs[static_cast<std::size_t>(k)].state, sched::JobState::Rejected);
+    EXPECT_EQ(rep.jobs[static_cast<std::size_t>(k)].reject_reason,
+              "a lineage producer was rejected");
+    EXPECT_GT(rep.jobs[static_cast<std::size_t>(k)].estimate, 0.0);
+  }
+  EXPECT_GT(rep.backpressure_events, 0);
+  EXPECT_EQ(reg.histograms().at("sched.estimate_rel_error").count(), rep.completed);
+  EXPECT_EQ(rec.total_recorded(), 1629u);
+  EXPECT_EQ(digest(records_text(rep.jobs)), 5705109416280359259ULL);
+  EXPECT_EQ(digest(estimates_text(rep.jobs)), 5995158407283927394ULL);
+  EXPECT_EQ(digest(events_jsonl(rec)), 2298807782097593833ULL);
+
+  // Observation purity: sampling (which reads the plan cache mid-run) and
+  // recording leave every record untouched.
+  telemetry::TimeSeriesStore series;
+  const sched::ScheduleReport plain = run(nullptr, nullptr, nullptr);
+  const sched::ScheduleReport sampled = run(nullptr, &series, nullptr);
+  EXPECT_GT(series.series("plan_cache.hit_rate").size(), 0u);
+  for (const sched::ScheduleReport* other : {&plain, &sampled}) {
+    EXPECT_EQ(records_text(other->jobs), records_text(rep.jobs));
+    EXPECT_EQ(estimates_text(other->jobs), estimates_text(rep.jobs));
+  }
+}
+
+// --- Scheduler: plan-cache traffic ---------------------------------------
+
+// A one-off shape is planned once: its estimate is computed at arrival, so
+// the plan that estimate compiled is still cached when the job starts. Per
+// job the estimate memo, the footprint at the requested shape, and the plan
+// each miss once; admission and the pipeline's constructor hit. A disabled
+// cache computes everything twice but schedules identically.
+TEST(SchedulerPlanCache, DistinctShapesMissThreeTimesPerJob) {
+  core::PlanCache& cache = core::PlanCache::instance();
+  const std::size_t capacity = cache.capacity();
+  struct Run {
+    sched::ScheduleReport report;
+    std::int64_t misses = 0;
+  };
+  auto run = [&](std::size_t cap) {
+    cache.set_capacity(cap);
+    cache.clear();
+    auto ctx = gpu::make_shared_context();
+    gpu::Gpu g0(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+    gpu::Gpu g1(gpu::nvidia_k40m(), gpu::ExecMode::Modeled, ctx);
+    sched::Scheduler s({&g0, &g1}, {});
+    const std::int64_t misses0 = cache.stats().misses;
+    for (const sched::ServeJob& j : distinct_shape_jobs(200, 0.010)) s.submit(j.job);
+    Run r;
+    r.report = s.run();
+    r.misses = cache.stats().misses - misses0;
+    return r;
+  };
+  const Run cached = run(16);
+  const Run off = run(0);
+  cache.set_capacity(capacity);
+  cache.clear();
+
+  EXPECT_EQ(cached.report.completed, 200);
+  EXPECT_EQ(cached.misses, 3 * 200);
+  EXPECT_EQ(records_text(cached.report.jobs), records_text(off.report.jobs));
+  EXPECT_EQ(estimates_text(cached.report.jobs), estimates_text(off.report.jobs));
 }
 
 // --- Scheduler: completion-hook lifetime ---------------------------------

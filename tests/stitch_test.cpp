@@ -242,7 +242,11 @@ TEST(StitchSerialize, RoundTripsHandoffNodesAndReportFields) {
   EXPECT_EQ(back.report.stitched_bytes, 4096);
   EXPECT_EQ(back.report.fused_kernels, 3);
   ASSERT_EQ(back.report.passes.size(), 1u);
-  EXPECT_DOUBLE_EQ(back.report.passes[0].elapsed_s, 1.5e-6);
+  EXPECT_EQ(back.report.passes[0].pass, "stitch");
+  EXPECT_EQ(back.report.passes[0].bytes_saved, 4096);
+  // The pass's wall time is not part of the wire format (v4): reproducible
+  // records carry no clock readings.
+  EXPECT_EQ(back.report.passes[0].elapsed_s, 0.0);
 }
 
 // --- Scheduler runtime ---
