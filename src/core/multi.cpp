@@ -5,12 +5,6 @@
 
 namespace gpupipe::core {
 
-std::vector<std::int64_t> MultiPipeline::partition(std::int64_t total,
-                                                   const std::vector<double>& weights,
-                                                   std::int64_t granule) {
-  return layout::partition_weighted(total, weights, granule);
-}
-
 MultiPipeline::MultiPipeline(std::vector<DeviceShare> devices, const PipelineSpec& spec) {
   require(!devices.empty(), "MultiPipeline needs at least one device");
   spec.validate();
@@ -29,7 +23,7 @@ MultiPipeline::MultiPipeline(std::vector<DeviceShare> devices, const PipelineSpe
     weights.push_back(d.weight > 0.0 ? d.weight : d.device->profile().peak_flops);
 
   const std::vector<std::int64_t> parts =
-      partition(spec.iterations(), weights, spec.chunk_size);
+      layout::partition_weighted(spec.iterations(), weights, spec.chunk_size);
 
   std::int64_t begin = spec.loop_begin;
   for (std::size_t i = 0; i < devices.size(); ++i) {

@@ -63,13 +63,6 @@ class MultiPipeline {
   /// `prefix` + "dev<i>." namespaces (empty slices are skipped).
   void collect_metrics(telemetry::Registry& reg, const std::string& prefix = {}) const;
 
-  /// Static helper (exposed for tests): proportional integer partition of
-  /// `total` items by `weights`, each part rounded to a multiple of
-  /// `granule` (except the last, which absorbs the remainder).
-  static std::vector<std::int64_t> partition(std::int64_t total,
-                                             const std::vector<double>& weights,
-                                             std::int64_t granule);
-
  private:
   struct Part {
     gpu::Gpu* device;

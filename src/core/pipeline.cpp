@@ -47,9 +47,10 @@ const BufferView& Pipeline::view_of(std::string_view name) const {
   return arrays_[it->second].ring->view();
 }
 
-const BufferView& Pipeline::array_view(std::size_t ai) const {
-  require(ai < arrays_.size(), "array_view: index out of range");
-  return arrays_[ai].ring->view();
+void Pipeline::bind_link(std::size_t ai, DeviceLink* push, DeviceLink* pull) {
+  require(ai < arrays_.size(), "bind_link: array index out of range");
+  require(spec_.schedule == ScheduleKind::Static, "device links need the static schedule");
+  executor_.bind_link(ai, arrays_[ai].ring->view(), push, pull);
 }
 
 // --- Construction / configuration ---

@@ -146,13 +146,12 @@ class Pipeline {
   /// The GPU streams this pipeline issues on — the scheduler records
   /// completion events on them to track a job without draining the device.
   const std::vector<gpu::Stream*>& streams() const { return streams_; }
-  /// Binds the halo exchange any P2pSend/P2pRecv nodes of this pipeline's
-  /// plan dispatch to (sharded sub-regions only; see src/sched/shard.*).
-  /// The exchange must outlive every enqueue()/run() that uses it.
-  void set_exchange(PlanExchange* exchange) { executor_.set_exchange(exchange); }
-  /// Addressing view of mapped array `ai`'s ring buffer (spec array order) —
-  /// the sharding runtime derives P2P exchange pointers from it.
-  const BufferView& array_view(std::size_t ai) const;
+  /// Binds the device links mapped array `ai` (spec order) pushes into and
+  /// pulls from — see DeviceLink; either may be null. Sharded sub-regions
+  /// (src/sched/shard.*) and stitched lineage jobs (src/sched/scheduler.*)
+  /// bind them. Static schedule only, so the ring they address is never
+  /// reallocated; the links must outlive every enqueue()/run() using them.
+  void bind_link(std::size_t ai, DeviceLink* push, DeviceLink* pull);
   /// Total device bytes held by the pre-allocated ring buffers.
   Bytes buffer_footprint() const;
   const PipelineStats& stats() const { return stats_; }

@@ -371,30 +371,6 @@ ExecutionPlan PlanBuilder::pipeline(const gpu::Gpu& g, const PipelineSpec& spec)
   return predicted_pipeline(spec, &g);
 }
 
-// --- PlanBuilder: multi-device ---
-
-std::vector<ExecutionPlan> PlanBuilder::multi(const MultiSpec& ms) {
-  ms.spec.validate();
-  const auto parts =
-      layout::partition_weighted(ms.spec.iterations(), ms.weights, ms.spec.chunk_size);
-  std::vector<ExecutionPlan> plans;
-  plans.reserve(parts.size());
-  std::int64_t begin = ms.spec.loop_begin;
-  for (std::size_t d = 0; d < parts.size(); ++d) {
-    ExecutionPlan p;
-    if (parts[d] > 0) {
-      PipelineSpec sub = ms.spec;
-      sub.loop_begin = begin;
-      sub.loop_end = begin + parts[d];
-      p = predicted_pipeline(sub, nullptr);
-    }
-    begin += parts[d];
-    p.origin = "multi[" + std::to_string(d) + "]";
-    plans.push_back(std::move(p));
-  }
-  return plans;
-}
-
 // --- Shard decomposition ---
 
 std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
@@ -415,6 +391,7 @@ std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
     if (parts[d] <= 0) continue;
     ShardSlice s;
     s.shard = static_cast<int>(out.size());
+    s.weight = d;
     s.begin = begin;
     s.end = begin + parts[d];
     begin = s.end;
@@ -773,8 +750,8 @@ void ExecutionPlan::validate() const {
         }
         break;
       case PlanOp::P2pSend:
-        // Reads its own ring slots; the peer-side staging write is the
-        // exchange's business (the machine-wide tracker covers it at run
+        // Reads its own ring slots; the write into the peer's link stage
+        // lies outside this plan (the machine-wide tracker covers it at run
         // time — static validation is per-plan).
         add_segments(false);
         break;
@@ -785,7 +762,7 @@ void ExecutionPlan::validate() const {
       case PlanOp::DeviceHandoff:
         // Produce side reads its ring slots into staging (like a D2H);
         // consume side lands staged data into its ring (like an H2D). The
-        // staging buffer itself belongs to the exchange, outside this plan.
+        // link's staging buffer itself lies outside this plan.
         add_segments(!arrays[static_cast<std::size_t>(n.array)].handoff_out);
         break;
       case PlanOp::SlotReuse:
@@ -850,6 +827,47 @@ void PlanExecutor::bind(std::vector<gpu::Stream*> streams,
   streams_ = std::move(streams);
   arrays_ = std::move(arrays);
   events_.clear();
+}
+
+void PlanExecutor::bind_link(std::size_t array, const BufferView& ring, DeviceLink* push,
+                             DeviceLink* pull) {
+  if (links_.size() <= array) links_.resize(array + 1);
+  links_[array] = {ring, push, pull};
+}
+
+void PlanExecutor::issue_link(const ExecutionPlan& plan, const PlanNode& n, gpu::Stream& s) {
+  const std::size_t ai = static_cast<std::size_t>(n.array);
+  const bool push = n.op == PlanOp::P2pSend ||
+                    (n.op == PlanOp::DeviceHandoff && plan.arrays[ai].handoff_out);
+  const LinkEnds* ends = ai < links_.size() ? &links_[ai] : nullptr;
+  DeviceLink* link = ends == nullptr ? nullptr : push ? ends->push : ends->pull;
+  require(link != nullptr, "plan link node has no link bound for its array");
+  require(link->stage != nullptr, "plan link node issued on a retired link");
+  auto ring = [&](const PlanSegment& seg) {
+    return ends->ring.base + static_cast<Bytes>(seg.slot) * ends->ring.slab;
+  };
+  auto stage = [&](const PlanSegment& seg) {
+    return link->stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
+  };
+  if (push) {
+    // A push onto another device rides this device's DMA engine, never the
+    // host; the puller orders itself after it through `ready`.
+    const bool cross = link->home != &gpu_;
+    for (const PlanSegment& seg : n.segments) {
+      if (cross)
+        gpu_.memcpy_p2p_async(*link->home, stage(seg), ring(seg), seg.bytes(), s);
+      else
+        gpu_.memcpy_d2d_async(stage(seg), ring(seg), seg.bytes(), s);
+      link->pushed += seg.bytes();
+    }
+    if (cross) link->ready = gpu_.record_event(s);
+    return;
+  }
+  require(n.op != PlanOp::P2pRecv || link->ready != nullptr,
+          "p2p-recv enqueued before its sender");
+  if (link->ready) gpu_.wait_event(s, link->ready);
+  for (const PlanSegment& seg : n.segments)
+    gpu_.memcpy_d2d_async(ring(seg), stage(seg), seg.bytes(), s);
 }
 
 void PlanExecutor::issue_waits(const ExecutionPlan& plan, const PlanNode& n, gpu::Stream& s) {
@@ -919,28 +937,11 @@ void PlanExecutor::enqueue(const ExecutionPlan& plan, const PlanKernelMaker& mak
         break;
       }
       case PlanOp::P2pSend:
-      case PlanOp::P2pRecv: {
-        require(exchange_ != nullptr,
-                "plan contains P2P halo nodes but no exchange is bound "
-                "(PlanExecutor::set_exchange)");
-        exchange_->issue(gpu_, s, n);
-        if (stats_) {
-          ++stats_->p2p_copies;
-          if (n.op == PlanOp::P2pSend) stats_->p2p_bytes += n.bytes;
-        }
+      case PlanOp::P2pRecv:
+      case PlanOp::DeviceHandoff:
+        issue_link(plan, n, s);
+        if (stats_ && n.op == PlanOp::P2pSend) stats_->p2p_bytes += n.bytes;
         break;
-      }
-      case PlanOp::DeviceHandoff: {
-        require(exchange_ != nullptr,
-                "plan contains DeviceHandoff nodes but no exchange is bound "
-                "(PlanExecutor::set_exchange)");
-        exchange_->issue(gpu_, s, n);
-        if (stats_) {
-          ++stats_->handoff_copies;
-          stats_->handoff_bytes += n.bytes;
-        }
-        break;
-      }
       case PlanOp::SlotReuse:
       case PlanOp::Barrier:
         break;  // waits only

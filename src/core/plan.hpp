@@ -124,7 +124,7 @@ struct PlanNode {
   /// no device work (SlotReuse/Barrier).
   int event_node = -1;
   /// P2pSend/P2pRecv: the neighbouring shard on the other end of the halo
-  /// link (a shard index, not a device id — the exchange resolves it).
+  /// link (a shard index, not a device id — the sharding runtime binds it).
   int peer = -1;
   std::string label;
 };
@@ -156,10 +156,7 @@ struct PipelineStats {
   std::int64_t kernels = 0;
   std::int64_t events = 0;
   std::int64_t stream_waits = 0;
-  std::int64_t p2p_copies = 0;  ///< P2pSend/P2pRecv nodes issued
-  Bytes p2p_bytes = 0;          ///< halo bytes pushed device-to-device
-  std::int64_t handoff_copies = 0;  ///< DeviceHandoff nodes issued
-  Bytes handoff_bytes = 0;          ///< bytes kept device-resident per side
+  Bytes p2p_bytes = 0;  ///< halo bytes pushed device-to-device
 };
 
 /// The complete op graph of one region execution. Nodes are listed in
@@ -245,13 +242,6 @@ struct TileBuildState {
   std::vector<bool> pinned;
 };
 
-/// A multi-device region: one PipelineSpec plus the per-device share of the
-/// split loop (positive weights, one per device).
-struct MultiSpec {
-  PipelineSpec spec;
-  std::vector<double> weights;
-};
-
 /// Compiles region specs into ExecutionPlans. Pure arithmetic — never
 /// touches a device.
 class PlanBuilder {
@@ -272,11 +262,6 @@ class PlanBuilder {
 
   /// Plans a 2-D tiled region (declared in core/tile_pipeline.hpp).
   static ExecutionPlan tiles(const TileSpec& spec, const TileBuildState& state);
-
-  /// Plans a multi-device region: slices the split loop by `weights` (see
-  /// layout::partition_weighted) and returns one predicted plan per device
-  /// (empty plan for an empty slice).
-  static std::vector<ExecutionPlan> multi(const MultiSpec& ms);
 };
 
 /// One shard of a multi-device decomposition: a contiguous slice
@@ -284,6 +269,7 @@ class PlanBuilder {
 /// whose plan runs it on one device.
 struct ShardSlice {
   int shard = 0;
+  std::size_t weight = 0;  ///< index of the weight this slice was cut for
   std::int64_t begin = 0;
   std::int64_t end = 0;
   PipelineSpec spec;
@@ -363,18 +349,20 @@ class RingBufferBinding final : public PlanArrayBinding {
 /// arrays' memory effects and the default name itself).
 using PlanKernelMaker = std::function<gpu::KernelDesc(const PlanNode&)>;
 
-/// Issues the device work of P2pSend/P2pRecv/DeviceHandoff nodes. The
-/// executor cannot do this itself — a halo or handoff link crosses plans
-/// (and possibly devices), so the sharding runtime (src/sched/shard.*) or
-/// the stitching runtime (src/sched/scheduler.*) binds an exchange that
-/// knows both ends' buffers and the staging area between them. Executing a
-/// plan containing such nodes without an exchange bound is an error.
-class PlanExchange {
- public:
-  virtual ~PlanExchange() = default;
-  /// Called in enqueue order on the node's own stream; must issue the
-  /// copies asynchronously (stream-ordered) like any other plan node.
-  virtual void issue(gpu::Gpu& g, gpu::Stream& s, const PlanNode& n) = 0;
+/// A device-resident staging area one plan pushes ring data into and
+/// another plan (or the same plan's peer shard) pulls it out of — the base
+/// pointer plus offset addressing of §IV applied across plans: split index
+/// i lives at `stage + (i - lo) * unit` on device `home`. Shard halos
+/// (src/sched/shard.*) and lineage handoffs (src/sched/scheduler.*) both
+/// move slices through links; the owner allocates and frees `stage`, and a
+/// null `stage` marks a retired link.
+struct DeviceLink {
+  gpu::Gpu* home = nullptr;  ///< device holding `stage`
+  std::byte* stage = nullptr;
+  std::int64_t lo = 0;       ///< split index stage[0] holds
+  Bytes unit = 0;            ///< bytes per split index
+  gpu::EventPtr ready;       ///< recorded after a cross-device push
+  Bytes pushed = 0;          ///< bytes pushed into `stage` so far
 };
 
 /// Replays an ExecutionPlan against a Gpu: issues transfers through the
@@ -389,9 +377,13 @@ class PlanExecutor {
   /// (plan array/stream indices index into these vectors).
   void bind(std::vector<gpu::Stream*> streams, std::vector<PlanArrayBinding*> arrays);
 
-  /// Binds the halo exchange P2pSend/P2pRecv nodes dispatch to (nullptr to
-  /// unbind). The exchange must outlive every enqueue() that uses it.
-  void set_exchange(PlanExchange* exchange) { exchange_ = exchange; }
+  /// Binds the links plan array `array`'s link nodes use: P2pSend and
+  /// produce-side DeviceHandoff nodes push ring slots of `ring` into
+  /// `push`; P2pRecv and consume-side DeviceHandoff nodes pull them from
+  /// `pull`. Either may be null. The links must outlive every enqueue()
+  /// that uses them; executing a link node with no link bound is an error.
+  void bind_link(std::size_t array, const BufferView& ring, DeviceLink* push,
+                 DeviceLink* pull);
 
   /// Issues every node of `plan` without blocking.
   void enqueue(const ExecutionPlan& plan, const PlanKernelMaker& make_kernel);
@@ -406,13 +398,22 @@ class PlanExecutor {
   const sim::TaskPtr& last_kernel() const { return last_kernel_; }
 
  private:
+  /// One array's link ends (bind_link).
+  struct LinkEnds {
+    BufferView ring;
+    DeviceLink* push = nullptr;
+    DeviceLink* pull = nullptr;
+  };
+
   void issue_waits(const ExecutionPlan& plan, const PlanNode& n, gpu::Stream& s);
+  /// Issues a P2pSend, P2pRecv, or DeviceHandoff node on `s`.
+  void issue_link(const ExecutionPlan& plan, const PlanNode& n, gpu::Stream& s);
 
   gpu::Gpu& gpu_;
   PipelineStats* stats_;
-  PlanExchange* exchange_ = nullptr;
   std::vector<gpu::Stream*> streams_;
   std::vector<PlanArrayBinding*> arrays_;
+  std::vector<LinkEnds> links_;  // indexed by plan array
   std::vector<gpu::EventPtr> events_;  // indexed by node id
   std::vector<const gpu::GpuEvent*> seen_;
   sim::TaskPtr last_kernel_;

@@ -383,7 +383,7 @@ PassStats coalesce_pass(ExecutionPlan& plan) {
   for (const auto& a : plan.arrays) stats.bytes_saved_by_array.emplace_back(a.name, 0);
   for (PlanNode& n : plan.nodes) {
     // P2P halo and handoff nodes carry ring segments like any transfer;
-    // merging their wrap pieces merges the exchange's copies the same way.
+    // merging their wrap pieces merges the link's copies the same way.
     const bool coalescable = is_transfer(n.op) || n.op == PlanOp::P2pSend ||
                              n.op == PlanOp::P2pRecv || n.op == PlanOp::DeviceHandoff;
     if (!coalescable || n.segments.size() < 2) continue;

@@ -158,16 +158,15 @@ struct ShardHalo {
 };
 
 /// Inter-job handoff wiring of one array (plan stitching, ROADMAP's
-/// "Inter-job plan stitching" item). When the scheduler places a lineage
-/// producer and consumer on the same device, it wires the producer's output
-/// array (produce = true) and the consumer's input array (produce = false)
-/// to the same handoff `link`: the stitch pass then rewrites the producer's
-/// D2H tail and the consumer's H2D head for that array into DeviceHandoff
-/// nodes, and a bound PlanExchange moves the bytes through device-resident
-/// staging instead of the host.
+/// "Inter-job plan stitching" item). The scheduler wires a lineage
+/// producer's output array (produce = true) and its consumer's input array
+/// (produce = false): the stitch pass then rewrites the producer's D2H tail
+/// and the consumer's H2D head for that array into DeviceHandoff nodes,
+/// and the DeviceLink the scheduler binds to each pipeline (core/plan.hpp)
+/// moves the bytes through device-resident staging instead of the host.
 struct ArrayHandoff {
   int array = -1;        ///< index into PipelineSpec::arrays
-  int link = -1;         ///< handoff link id the exchange resolves
+  int link = -1;         ///< per-spec ordinal of the link (the plan names it)
   bool produce = false;  ///< true: stash to staging; false: land from it
 };
 

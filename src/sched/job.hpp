@@ -30,6 +30,9 @@ struct JobInput {
   int producer = -1;           ///< submit() id of the producing job
   std::string array;           ///< this job's input array (map `to`/`tofrom`)
   std::string producer_array;  ///< producer's output array; empty = same name
+
+  /// The producer's array this input reads.
+  const std::string& source() const { return producer_array.empty() ? array : producer_array; }
 };
 
 /// One offload request: a pipelined region plus scheduling attributes.

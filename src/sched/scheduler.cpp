@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "core/layout.hpp"
 #include "core/plan_cache.hpp"
 
 namespace gpupipe::sched {
@@ -24,6 +25,29 @@ int array_index(const core::PipelineSpec& spec, const std::string& name) {
   for (std::size_t i = 0; i < spec.arrays.size(); ++i)
     if (spec.arrays[i].name == name) return static_cast<int>(i);
   return -1;
+}
+
+/// The report totals the job records already hold, summed in one place for
+/// run() and the exported counters.
+ScheduleReport job_totals(const std::vector<JobRecord>& records) {
+  ScheduleReport t;
+  for (const JobRecord& r : records) {
+    // Every pick that neither starts nor rejects a job defers it once.
+    t.admission_retries += std::max(r.admission_attempts - 1, 0);
+    t.admission_shrinks += r.shrunk;
+    t.deadline_misses += r.deadline_missed;
+    t.stitched_jobs += r.stitched_in || r.stitched_out;
+    t.stitched_bytes += r.stitched_bytes;
+  }
+  return t;
+}
+
+/// The dry-run kernel cost of `job`'s roofline hints.
+core::DryRunCost cost_of(const Job& job) {
+  core::DryRunCost cost;
+  cost.flops_per_iter = job.flops_per_iter;
+  cost.bytes_per_iter = job.bytes_per_iter;
+  return cost;
 }
 }  // namespace
 
@@ -104,9 +128,7 @@ int Scheduler::submit(Job job) {
 void Scheduler::estimate_arrival(int id) {
   const std::size_t idx = static_cast<std::size_t>(id);
   const Job& job = jobs_[idx];
-  core::DryRunCost cost;
-  cost.flops_per_iter = job.flops_per_iter;
-  cost.bytes_per_iter = job.bytes_per_iter;
+  const core::DryRunCost cost = cost_of(job);
   try {
     // Estimated against the first device: placement assumes a homogeneous
     // machine (the usual serving setup; MultiPipeline handles heterogeneous
@@ -157,7 +179,7 @@ ScheduleReport Scheduler::run() {
     advance();
   }
 
-  ScheduleReport rep;
+  ScheduleReport rep = job_totals(records_);
   rep.start = t0_;
   SimTime last = t0_;
   for (const JobRecord& r : records_)
@@ -167,11 +189,6 @@ ScheduleReport Scheduler::run() {
   rep.completed = completed_;
   rep.rejected = rejected_;
   rep.backpressure_events = backpressure_events_;
-  rep.admission_retries = admission_retries_;
-  rep.admission_shrinks = admission_shrinks_;
-  rep.deadline_misses = deadline_misses_;
-  rep.stitched_jobs = stitched_jobs_;
-  rep.stitched_bytes = stitched_bytes_;
   rep.handoff_fallbacks = handoff_fallbacks_;
   rep.jobs = records_;
   return rep;
@@ -270,30 +287,36 @@ bool Scheduler::intake() {
       progress = true;
       continue;
     }
-    if (queue_.full()) {
-      if (!stalled_[idx]) {
-        stalled_[idx] = 1;
-        ++backpressure_events_;
-        record_flight(telemetry::FlightEventKind::Backpressure, id);
-        log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
-                  ") waits for a queue slot");
-      }
-      break;
-    }
-    JobQueue::Item it;
-    it.job = id;
-    it.seq = static_cast<std::uint64_t>(id);
-    it.priority = jobs_[idx].priority;
-    it.estimate = records_[idx].estimate;
-    ensure(queue_.push(it), "queue push failed after full() check");
-    records_[idx].state = JobState::Queued;
-    records_[idx].enqueue_time = host_now();
-    record_flight(telemetry::FlightEventKind::Enqueue, id);
+    if (!try_enqueue(id)) break;
     ++next_pending_;
-    note_queue_depth();
     progress = true;
   }
   return progress;
+}
+
+bool Scheduler::try_enqueue(int id) {
+  const std::size_t idx = static_cast<std::size_t>(id);
+  if (queue_.full()) {
+    if (!stalled_[idx]) {
+      stalled_[idx] = 1;
+      ++backpressure_events_;
+      record_flight(telemetry::FlightEventKind::Backpressure, id);
+      log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
+                ") waits for a queue slot");
+    }
+    return false;
+  }
+  JobQueue::Item it;
+  it.job = id;
+  it.seq = static_cast<std::uint64_t>(id);
+  it.priority = jobs_[idx].priority;
+  it.estimate = records_[idx].estimate;
+  ensure(queue_.push(it), "queue push failed after full() check");
+  records_[idx].state = JobState::Queued;
+  records_[idx].enqueue_time = host_now();
+  record_flight(telemetry::FlightEventKind::Enqueue, id);
+  note_queue_depth();
+  return true;
 }
 
 bool Scheduler::lineage_ready(int id) const {
@@ -323,28 +346,11 @@ bool Scheduler::drain_lineage_waiters() {
       progress = true;
       continue;
     }
-    if (queue_.full()) {
-      if (!stalled_[idx]) {
-        stalled_[idx] = 1;
-        ++backpressure_events_;
-        record_flight(telemetry::FlightEventKind::Backpressure, id);
-        log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
-                  ") waits for a queue slot");
-      }
+    if (!try_enqueue(id)) {
       ++i;
       continue;
     }
-    JobQueue::Item it;
-    it.job = id;
-    it.seq = static_cast<std::uint64_t>(id);
-    it.priority = jobs_[idx].priority;
-    it.estimate = records_[idx].estimate;
-    ensure(queue_.push(it), "queue push failed after full() check");
-    records_[idx].state = JobState::Queued;
-    records_[idx].enqueue_time = host_now();
-    record_flight(telemetry::FlightEventKind::Enqueue, id);
     lineage_wait_.erase(lineage_wait_.begin() + static_cast<std::ptrdiff_t>(i));
-    note_queue_depth();
     progress = true;
   }
   return progress;
@@ -396,7 +402,6 @@ bool Scheduler::dispatch() {
       const SimTime delay = std::min(
           opts_.backoff_max, opts_.backoff_initial * std::pow(opts_.backoff_factor, exp));
       queue_.defer(id, host_now() + delay);
-      ++admission_retries_;
       record_flight(telemetry::FlightEventKind::Backoff, id,
                     records_[idx].admission_attempts, std::llround(delay * 1e9));
     }
@@ -411,10 +416,8 @@ bool Scheduler::shard_eligible(int id) const {
   // solo path: its input lives in staging, not in host memory, and sharded
   // specs cannot carry handoffs.
   for (const JobInput& in : job.inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    for (const auto& l : links_)
-      if (l->producer == in.producer && l->array == pname && l->staging != nullptr)
-        return false;
+    const HandoffLink* link = link_for(in);
+    if (link != nullptr && link->staging.stage != nullptr) return false;
   }
   if (!shardable(job.spec)) return false;
   int avail = 0;
@@ -431,9 +434,7 @@ bool Scheduler::launch_shard_round(Active& a) {
   const std::vector<int> devs = available_devices();
   if (devs.empty()) return false;
   const Job& job = jobs_[static_cast<std::size_t>(a.id)];
-  core::DryRunCost cost;
-  cost.flops_per_iter = job.flops_per_iter;
-  cost.bytes_per_iter = job.bytes_per_iter;
+  const core::DryRunCost cost = cost_of(job);
   // Per-device solo estimates feed the load-aware weights; the plan cache
   // memoizes them per profile, so repeated rounds and same-profile devices
   // pay once.
@@ -498,7 +499,6 @@ bool Scheduler::try_start_sharded(int id) {
   r.chunk_size = a.shard->first_chunk_size();
   r.num_streams = a.shard->first_num_streams();
   r.shrunk = a.shard->shrunk();
-  if (r.shrunk) ++admission_shrinks_;
   a.device = r.device;
   a.footprint = r.footprint;
 
@@ -537,7 +537,6 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   r.chunk_size = d.chunk_size;
   r.num_streams = d.num_streams;
   r.shrunk = d.shrunk;
-  if (d.shrunk) ++admission_shrinks_;
 
   // Freeze the admitted shape: the pipeline re-solves its memory limit in
   // the constructor, and a limit of exactly the committed footprint keeps
@@ -553,13 +552,14 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   a.device = dev;
   a.footprint = d.footprint;
   a.estimate = r.estimate;
+  std::vector<core::DeviceLink*> ends;  // by ArrayHandoff::link
   if (opts_.stitching && lineage_jobs_ > 0) {
     // Consume side first: a mid-chain job both lands its inputs from an
     // upstream link and stashes its outputs for a downstream one. (Without
     // lineage in the mix there is nothing to wire, and the producer side's
     // scan of every later job would make starts quadratic.)
-    wire_consumer_handoffs(id, dev, spec, a);
-    wire_producer_handoffs(id, dev, spec, a);
+    wire_consumer_handoffs(id, dev, spec, ends);
+    wire_producer_handoffs(id, dev, spec, ends);
   }
   gpu::Gpu& device = *devices_[static_cast<std::size_t>(dev)];
   // Publish the job's trace id for the whole submission window: every task
@@ -568,14 +568,15 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
   // submissions interleave in between.
   device.trace().set_trace_id(r.trace_id);
   a.pipeline = std::make_unique<core::Pipeline>(device, std::move(spec));
-  if (a.exchange) {
-    a.exchange->pipeline = a.pipeline.get();
-    a.pipeline->set_exchange(a.exchange.get());
-    ++stitched_jobs_;
+  if (!ends.empty()) {
+    for (const core::ArrayHandoff& h : a.pipeline->spec().handoffs) {
+      core::DeviceLink* end = ends[static_cast<std::size_t>(h.link)];
+      a.pipeline->bind_link(static_cast<std::size_t>(h.array), h.produce ? end : nullptr,
+                            h.produce ? nullptr : end);
+    }
     // The optimizer's stitch pass measured exactly which host-transfer
     // bytes the handoff nodes replaced in this job's compiled plan.
     r.stitched_bytes = a.pipeline->opt_report().stitched_bytes;
-    stitched_bytes_ += r.stitched_bytes;
   }
   a.pipeline->enqueue(jobs_[idx].kernel);
   // Completion is observed through events on the job's own streams — a
@@ -650,7 +651,6 @@ void Scheduler::complete_job(Active& a) {
   if (opts_.watchdog) opts_.watchdog->observe_completion(host_now());
   if (jobs_[idx].deadline && finish > *jobs_[idx].deadline) {
     r.deadline_missed = true;
-    ++deadline_misses_;
     record_flight(telemetry::FlightEventKind::DeadlineMiss, a.id,
                   std::llround((finish - *jobs_[idx].deadline) * 1e9));
     if (opts_.watchdog) opts_.watchdog->observe_deadline_miss(finish);
@@ -688,56 +688,25 @@ std::vector<int> Scheduler::placement_order_for(int id) const {
   // Lineage co-placement: trying the device that holds the consumed staging
   // first makes the handoff a same-device d2d instead of a P2P fallback.
   for (const JobInput& in : jobs_[static_cast<std::size_t>(id)].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    for (const auto& l : links_) {
-      if (l->producer != in.producer || l->array != pname || l->staging == nullptr)
-        continue;
-      auto it = std::find(order.begin(), order.end(), l->device);
-      if (it != order.end()) std::rotate(order.begin(), it, it + 1);
-      return order;
-    }
+    const HandoffLink* link = link_for(in);
+    if (link == nullptr || link->staging.stage == nullptr) continue;
+    auto it = std::find(order.begin(), order.end(), link->device);
+    if (it != order.end()) std::rotate(order.begin(), it, it + 1);
+    return order;
   }
   return order;
 }
 
 // --- Inter-job stitching (docs/stitching.md) ---
 
-void Scheduler::HandoffExchange::issue(gpu::Gpu& g, gpu::Stream& s,
-                                       const core::PlanNode& n) {
-  const std::size_t ai = static_cast<std::size_t>(n.array);
-  HandoffLink* link = ai < links.size() ? links[ai] : nullptr;
-  require(link != nullptr, "device-handoff node has no link for its array");
-  require(link->staging != nullptr, "device-handoff node issued on a retired link");
-  const core::BufferView& v = pipeline->array_view(ai);
-  const bool produce = pipeline->execution_plan().arrays[ai].handoff_out;
-  std::byte* stage = link->staging;
-  if (!produce && device != link->device) {
-    // Cross-device fallback: the consume side reads the P2P mirror staged
-    // onto this device at wiring time, ordered after the peer copy.
-    require(link->mirror != nullptr && link->mirror_device == device,
-            "cross-device handoff consumed without a staged mirror");
-    stage = link->mirror;
-    if (link->moved) g.wait_event(s, link->moved);
-  }
-  for (const core::PlanSegment& seg : n.segments) {
-    std::byte* ring = v.base + static_cast<Bytes>(seg.slot) * v.slab;
-    std::byte* st =
-        stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
-    if (produce)
-      g.memcpy_d2d_async(st, ring, seg.bytes(), s);
-    else
-      g.memcpy_d2d_async(ring, st, seg.bytes(), s);
-  }
-}
-
-Scheduler::HandoffLink* Scheduler::find_link(int producer, const std::string& array) {
-  for (auto& l : links_)
-    if (l->producer == producer && l->array == array) return l.get();
+Scheduler::HandoffLink* Scheduler::link_for(const JobInput& in) const {
+  for (const auto& l : links_)
+    if (l->producer == in.producer && l->array == in.source()) return l.get();
   return nullptr;
 }
 
 void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec,
-                                       Active& a) {
+                                       std::vector<core::DeviceLink*>& ends) {
   const std::size_t idx = static_cast<std::size_t>(id);
   // Collect the output arrays stitchable consumers will read. An array
   // qualifies only when both ends meet ArrayHandoff's geometric
@@ -752,8 +721,7 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
     if (records_[j].state == JobState::Rejected) continue;
     for (const JobInput& in : jobs_[j].inputs) {
       if (in.producer != id) continue;
-      const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-      const int pi = array_index(spec, pname);
+      const int pi = array_index(spec, in.source());
       if (pi < 0) continue;
       const core::ArraySpec& pa = spec.arrays[static_cast<std::size_t>(pi)];
       if (pa.map == core::MapType::To || pa.split.dim != 0 || pa.split.window_fn)
@@ -778,15 +746,13 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
   // Cost gate: stitch only when the dry run predicts the handoff tail is no
   // slower than the D2H it replaces (the consumer's H2D win rides on top).
   // Link ids in the spec are per-spec ordinals, so identical job shapes
-  // share one plan-cache entry; the exchange resolves links by array index.
+  // share one plan-cache entry; each indexes the job's `ends`.
   core::PipelineSpec stitched = spec;
   for (const Cand& c : cands)
     stitched.handoffs.push_back(
         {c.array, static_cast<int>(stitched.handoffs.size()), true});
   const Job& job = jobs_[idx];
-  core::DryRunCost cost;
-  cost.flops_per_iter = job.flops_per_iter;
-  cost.bytes_per_iter = job.bytes_per_iter;
+  const core::DryRunCost cost = cost_of(job);
   gpu::Gpu& device = *devices_[static_cast<std::size_t>(dev)];
   try {
     const SimTime plain =
@@ -816,22 +782,16 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
     }
     admission_.commit(dev, bytes);
     auto link = std::make_unique<HandoffLink>();
-    link->id = next_link_id_++;
     link->producer = id;
     link->array = pa.name;
     link->device = dev;
-    link->staging = staging;
     link->bytes = bytes;
-    link->unit = pa.elem_size * static_cast<Bytes>(pa.inner_elems());
-    link->lo = 0;
     link->consumers = c.consumers;
+    link->staging.home = &device;
+    link->staging.stage = staging;
+    link->staging.unit = core::layout::unit_bytes(pa);
     spec.handoffs.push_back({c.array, static_cast<int>(spec.handoffs.size()), true});
-    if (!a.exchange) {
-      a.exchange = std::make_unique<HandoffExchange>();
-      a.exchange->device = dev;
-      a.exchange->links.assign(spec.arrays.size(), nullptr);
-    }
-    a.exchange->links[static_cast<std::size_t>(c.array)] = link.get();
+    ends.push_back(&link->staging);
     records_[idx].stitched_out = true;
     record_flight(telemetry::FlightEventKind::Stitch, id,
                   static_cast<std::int64_t>(bytes), id);
@@ -843,33 +803,30 @@ void Scheduler::wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec
 }
 
 void Scheduler::wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec,
-                                       Active& a) {
+                                       std::vector<core::DeviceLink*>& ends) {
   const std::size_t idx = static_cast<std::size_t>(id);
   for (const JobInput& in : jobs_[idx].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    HandoffLink* link = find_link(in.producer, pname);
-    if (link == nullptr || link->staging == nullptr) continue;
+    HandoffLink* link = link_for(in);
+    if (link == nullptr || link->staging.stage == nullptr) continue;
     const int ci = array_index(spec, in.array);
     if (ci < 0) continue;
+    core::DeviceLink* end = &link->staging;
     if (dev != link->device) {
       // Placement split the chain across devices: mirror the staging onto
-      // this device with one peer copy (the P2P fallback). When even the
-      // mirror cannot fit, rescue the bytes to the host and run unstitched.
-      const bool had = link->mirror != nullptr && link->mirror_device == dev;
+      // this device with one peer copy (the P2P fallback) and read the
+      // mirror. When even the mirror cannot fit, rescue the bytes to the
+      // host and run unstitched.
+      const bool had = link->mirror.stage != nullptr && link->mirror_device == dev;
       if (!stage_mirror(*link, dev)) {
         rescue_to_host(*link);
         continue;
       }
       if (!had) ++handoff_fallbacks_;
       records_[idx].handoff_fallback = true;
+      end = &link->mirror;
     }
     spec.handoffs.push_back({ci, static_cast<int>(spec.handoffs.size()), false});
-    if (!a.exchange) {
-      a.exchange = std::make_unique<HandoffExchange>();
-      a.exchange->device = dev;
-      a.exchange->links.assign(spec.arrays.size(), nullptr);
-    }
-    a.exchange->links[static_cast<std::size_t>(ci)] = link;
+    ends.push_back(end);
     records_[idx].stitched_in = true;
     record_flight(telemetry::FlightEventKind::Stitch, id,
                   static_cast<std::int64_t>(link->bytes), in.producer);
@@ -880,7 +837,7 @@ void Scheduler::wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec
 }
 
 bool Scheduler::stage_mirror(HandoffLink& link, int dev) {
-  if (link.mirror != nullptr) {
+  if (link.mirror.stage != nullptr) {
     // One mirror per link: a third-device consumer falls back to the host
     // rescue rather than invalidating a mirror a peer may still read.
     return link.mirror_device == dev;
@@ -894,10 +851,13 @@ bool Scheduler::stage_mirror(HandoffLink& link, int dev) {
     return false;
   }
   admission_.commit(dev, link.bytes);
-  gpu::Gpu& src = *devices_[static_cast<std::size_t>(link.device)];
-  src.memcpy_p2p_async(dst, mirror, link.staging, link.bytes, src.default_stream());
-  link.moved = src.record_event(src.default_stream());
-  link.mirror = mirror;
+  gpu::Gpu& src = *link.staging.home;
+  src.memcpy_p2p_async(dst, mirror, link.staging.stage, link.bytes, src.default_stream());
+  link.mirror.home = &dst;
+  link.mirror.stage = mirror;
+  link.mirror.lo = link.staging.lo;
+  link.mirror.unit = link.staging.unit;
+  link.mirror.ready = src.record_event(src.default_stream());
   link.mirror_device = dev;
   return true;
 }
@@ -908,34 +868,34 @@ void Scheduler::rescue_to_host(HandoffLink& link) {
   const Job& prod = jobs_[static_cast<std::size_t>(link.producer)];
   const int pi = array_index(prod.spec, link.array);
   ensure(pi >= 0, "handoff link names an array its producer does not map");
-  gpu::Gpu& src = *devices_[static_cast<std::size_t>(link.device)];
+  gpu::Gpu& src = *link.staging.home;
   src.memcpy_d2h_async(prod.spec.arrays[static_cast<std::size_t>(pi)].host,
-                       link.staging, link.bytes, src.default_stream());
+                       link.staging.stage, link.bytes, src.default_stream());
   src.synchronize(src.default_stream());
-  log_debug("sched: handoff link ", link.id, " rescued to host (mirror did not fit)");
+  log_debug("sched: job ", link.producer, "'s '", link.array,
+            "' handoff rescued to host (mirror did not fit)");
 }
 
 void Scheduler::release_consumed_links(int id) {
   for (const JobInput& in : jobs_[static_cast<std::size_t>(id)].inputs) {
-    const std::string& pname = in.producer_array.empty() ? in.array : in.producer_array;
-    HandoffLink* link = find_link(in.producer, pname);
+    HandoffLink* link = link_for(in);
     if (link == nullptr) continue;
     if (--link->consumers <= 0) retire_link(*link);
   }
 }
 
 void Scheduler::retire_link(HandoffLink& link) {
-  if (link.staging != nullptr) {
-    devices_[static_cast<std::size_t>(link.device)]->device_free(link.staging);
+  if (link.staging.stage != nullptr) {
+    link.staging.home->device_free(link.staging.stage);
     admission_.release(link.device, link.bytes);
-    link.staging = nullptr;
+    link.staging.stage = nullptr;
   }
-  if (link.mirror != nullptr) {
-    devices_[static_cast<std::size_t>(link.mirror_device)]->device_free(link.mirror);
+  if (link.mirror.stage != nullptr) {
+    link.mirror.home->device_free(link.mirror.stage);
     admission_.release(link.mirror_device, link.bytes);
-    link.mirror = nullptr;
+    link.mirror.stage = nullptr;
   }
-  link.moved.reset();
+  link.mirror.ready.reset();
 }
 
 // --- Virtual-time advancement ---
@@ -1050,9 +1010,10 @@ void Scheduler::collect_metrics(telemetry::Registry& reg, const std::string& pre
   reg.counter(p + "jobs_completed").add(completed_);
   reg.counter(p + "jobs_rejected").add(rejected_);
   reg.counter(p + "backpressure_events").add(backpressure_events_);
-  reg.counter(p + "admission_retries").add(admission_retries_);
-  reg.counter(p + "admission_shrinks").add(admission_shrinks_);
-  reg.counter(p + "deadline_misses").add(deadline_misses_);
+  const ScheduleReport totals = job_totals(records_);
+  reg.counter(p + "admission_retries").add(totals.admission_retries);
+  reg.counter(p + "admission_shrinks").add(totals.admission_shrinks);
+  reg.counter(p + "deadline_misses").add(totals.deadline_misses);
   if (opts_.shard_threshold > 0) {
     // Gated on the feature so runs without sharding keep their exact
     // metric set (and golden exports) unchanged.
@@ -1064,8 +1025,8 @@ void Scheduler::collect_metrics(telemetry::Registry& reg, const std::string& pre
     // Same gate idea for stitching: mixes without Job::consumes keep their
     // exact metric set (and golden exports) unchanged.
     reg.counter(p + "lineage_jobs").add(lineage_jobs_);
-    reg.counter(p + "stitched_jobs").add(stitched_jobs_);
-    reg.counter(p + "stitched_bytes").add(static_cast<std::int64_t>(stitched_bytes_));
+    reg.counter(p + "stitched_jobs").add(totals.stitched_jobs);
+    reg.counter(p + "stitched_bytes").add(static_cast<std::int64_t>(totals.stitched_bytes));
     reg.counter(p + "handoff_fallbacks").add(handoff_fallbacks_);
     reg.counter(p + "h2d_bytes").add(static_cast<std::int64_t>(h2d_bytes_total_));
     reg.counter(p + "d2h_bytes").add(static_cast<std::int64_t>(d2h_bytes_total_));

@@ -178,37 +178,25 @@ class Scheduler {
 
  private:
   /// One device-resident lineage handoff: a producer's output array stashed
-  /// in a staging allocation on its device, read back by the consumers'
+  /// in a staging link on its device, read back by the consumers'
   /// handoff-in nodes. Staging (and any mirror) lives until every wired
   /// consumer is terminal; its bytes are committed to admission so tenants
   /// cannot be planned into memory the link occupies.
   struct HandoffLink {
-    int id = -1;            ///< spec-side link id (ArrayHandoff::link)
     int producer = -1;      ///< producer job id
     std::string array;      ///< producer's array name (consumer lookup key)
-    int device = -1;        ///< device owning `staging`
-    std::byte* staging = nullptr;
+    int device = -1;        ///< device holding `staging`
     Bytes bytes = 0;        ///< full-array staging size
-    Bytes unit = 0;         ///< bytes per split index
-    std::int64_t lo = 0;    ///< split index staging[0] holds
     int consumers = 0;      ///< wired consumers not yet terminal
+    /// The producer pushes into it and same-device consumers pull from it;
+    /// a null stage marks the link retired.
+    core::DeviceLink staging;
     /// Cross-device fallback: a placement split mirrors the staging onto
-    /// the consumer's device with one P2P copy; `moved` orders the
-    /// consumer's handoff-in reads after that copy.
-    std::byte* mirror = nullptr;
+    /// the consumer's device with one P2P copy, and that consumer pulls
+    /// from the mirror, ordered after the copy by its `ready` event. A null
+    /// stage means no mirror.
+    core::DeviceLink mirror;
     int mirror_device = -1;
-    gpu::EventPtr moved;
-  };
-
-  /// PlanExchange bound to one job's pipeline: routes its DeviceHandoff
-  /// nodes between the ring buffers and the link staging (same pointer
-  /// arithmetic as the shard halo exchange, but across jobs instead of
-  /// across shards).
-  struct HandoffExchange final : core::PlanExchange {
-    core::Pipeline* pipeline = nullptr;
-    int device = -1;
-    std::vector<HandoffLink*> links;  ///< by spec array index; null = unwired
-    void issue(gpu::Gpu& g, gpu::Stream& s, const core::PlanNode& n) override;
   };
 
   struct Active {
@@ -218,7 +206,6 @@ class Scheduler {
     SimTime estimate = 0.0;
     std::unique_ptr<core::Pipeline> pipeline;
     std::unique_ptr<ShardRun> shard;  ///< multi-device path (pipeline null)
-    std::unique_ptr<HandoffExchange> exchange;  ///< set when handoffs are wired
     /// Estimated-seconds load added per device at start (removed on
     /// completion) — one entry for solo jobs, one per shard otherwise.
     std::vector<std::pair<int, SimTime>> shares;
@@ -253,6 +240,9 @@ class Scheduler {
   /// Sets records_[id].estimate from the budget submit() recorded.
   void estimate_arrival(int id);
   bool intake();
+  /// Queues arrived job `id`; false when the queue is full (backpressure,
+  /// counted once per job).
+  bool try_enqueue(int id);
   bool dispatch();
   /// Applies scripted DeviceEvents whose time has passed.
   bool process_device_events();
@@ -278,13 +268,17 @@ class Scheduler {
   /// Moves arrived lineage waiters whose producers turned terminal into the
   /// ready queue; consumers of a rejected producer are rejected here.
   bool drain_lineage_waiters();
-  HandoffLink* find_link(int producer, const std::string& array);
+  /// The link stashing `in`'s producer array, or null.
+  HandoffLink* link_for(const JobInput& in) const;
   /// Wires produce-side ArrayHandoffs into `id`'s frozen `spec` for every
   /// stitchable consumer array (cost-model gated; staging on `dev`).
-  void wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec, Active& a);
+  /// `ends[k]` receives the DeviceLink the spec's handoff k binds.
+  void wire_producer_handoffs(int id, int dev, core::PipelineSpec& spec,
+                              std::vector<core::DeviceLink*>& ends);
   /// Wires consume-side ArrayHandoffs for inputs whose producer stashed a
   /// link; a link on another device gets a P2P mirror (the fallback path).
-  void wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec, Active& a);
+  void wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec,
+                              std::vector<core::DeviceLink*>& ends);
   /// Drops one consumer from every link `id` consumed, retiring drained
   /// links (staging freed, admission released).
   void release_consumed_links(int id);
@@ -339,21 +333,15 @@ class Scheduler {
   int completed_ = 0;
   int rejected_ = 0;
   std::int64_t backpressure_events_ = 0;
-  std::int64_t admission_retries_ = 0;
-  std::int64_t admission_shrinks_ = 0;
-  std::int64_t deadline_misses_ = 0;
   std::int64_t sharded_jobs_ = 0;
   std::int64_t shard_rounds_ = 0;
   Bytes p2p_halo_bytes_ = 0;
   std::int64_t lineage_jobs_ = 0;  ///< jobs submitted with inputs (metric gate)
-  std::int64_t stitched_jobs_ = 0;
-  Bytes stitched_bytes_ = 0;
   std::int64_t handoff_fallbacks_ = 0;
   Bytes h2d_bytes_total_ = 0;
   Bytes d2h_bytes_total_ = 0;
   std::vector<std::unique_ptr<HandoffLink>> links_;
   std::vector<int> lineage_wait_;  ///< arrived, held for producer completion
-  int next_link_id_ = 0;
   std::size_t queue_depth_peak_ = 0;
   std::vector<std::size_t> queue_depth_samples_;
 };

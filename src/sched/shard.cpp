@@ -39,40 +39,6 @@ std::vector<double> shard_weights(const std::vector<int>& devices,
   return w;
 }
 
-// --- Exchange ---
-
-void ShardRun::Exchange::issue(gpu::Gpu& g, gpu::Stream& s, const core::PlanNode& n) {
-  const std::size_t ai = static_cast<std::size_t>(n.array);
-  const core::BufferView& v = pipeline->array_view(ai);
-  if (n.op == core::PlanOp::P2pSend) {
-    HaloLink* link = ai < send.size() ? send[ai] : nullptr;
-    require(link != nullptr, "p2p-send node has no halo link for its array");
-    // Push the overhanging window head from this shard's ring slots into
-    // the staging buffer on the receiving device — the copy rides this
-    // device's DMA engine, never the host.
-    for (const core::PlanSegment& seg : n.segments) {
-      std::byte* src = v.base + static_cast<Bytes>(seg.slot) * link->unit;
-      std::byte* dst =
-          link->stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
-      g.memcpy_p2p_async(*link->dst, dst, src, seg.bytes(), s);
-      link->moved += seg.bytes();
-    }
-    link->sent = g.record_event(s);
-  } else {
-    require(n.op == core::PlanOp::P2pRecv, "exchange issued for a non-P2P node");
-    HaloLink* link = ai < recv.size() ? recv[ai] : nullptr;
-    require(link != nullptr, "p2p-recv node has no halo link for its array");
-    require(link->sent != nullptr, "p2p-recv enqueued before its peer's send");
-    g.wait_event(s, link->sent);
-    for (const core::PlanSegment& seg : n.segments) {
-      std::byte* dst = v.base + static_cast<Bytes>(seg.slot) * link->unit;
-      const std::byte* src =
-          link->stage + static_cast<Bytes>(seg.index - link->lo) * link->unit;
-      g.memcpy_d2d_async(dst, src, seg.bytes(), s);
-    }
-  }
-}
-
 // --- ShardRun ---
 
 ShardRun::ShardRun(const Job& job, std::vector<gpu::Gpu*> devices,
@@ -96,7 +62,7 @@ ShardRun::~ShardRun() {
     }
     admission_.release(ex.device, ex.footprint);
   }
-  for (auto& l : links_) l->dst->device_free(l->stage);
+  for (auto& h : halos_) h->link.home->device_free(h->link.stage);
 }
 
 bool ShardRun::start_round(const std::vector<int>& devices,
@@ -143,14 +109,9 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   for (;;) {
     if (devs.empty()) return false;
     slices = core::shard_pipeline_specs(base, w);
-    // Map slices back to devices: shard_pipeline_specs drops empty parts,
-    // so replay the identical partition to learn which survived.
-    const std::vector<std::int64_t> parts =
-        core::layout::partition_weighted(base.iterations(), w, base.chunk_size);
+    // Empty parts were dropped; each slice names the weight it was cut for.
     slice_dev.clear();
-    for (std::size_t p = 0; p < parts.size(); ++p)
-      if (parts[p] > 0) slice_dev.push_back(devs[p]);
-    ensure(slice_dev.size() == slices.size(), "shard slice/partition mismatch");
+    for (const core::ShardSlice& sl : slices) slice_dev.push_back(devs[sl.weight]);
 
     dec.clear();
     std::vector<char> refuse(devs.size(), 0);
@@ -186,15 +147,13 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   for (std::size_t i = 0; i < slices.size(); ++i) {
     shards_[i].device = slice_dev[i];
     shards_[i].footprint = dec[i].footprint;
-    shards_[i].exchange = std::make_unique<Exchange>();
     admission_.commit(slice_dev[i], dec[i].footprint);
     if (dec[i].shrunk) shrunk_ = true;
   }
 
-  const std::size_t narr = job_.spec.arrays.size();
   // Links are created by the sending (higher-index) shard and picked up by
   // the receiver, keyed (receiver shard, array).
-  std::map<std::pair<int, int>, HaloLink*> by_recv;
+  std::map<std::pair<int, int>, core::DeviceLink*> by_recv;
   // Build and enqueue in DESCENDING shard order: shard s+1 sends the halo
   // to shard s, and the receiver's P2pRecv can only wait on an event that
   // exists once the sender's round is enqueued.
@@ -210,35 +169,31 @@ bool ShardRun::start_round(const std::vector<int>& devices,
 
     dev.trace().set_trace_id(opts_.trace_id);
     ex.pipeline = std::make_unique<core::Pipeline>(dev, std::move(spec));
-    Exchange& xc = *ex.exchange;
-    xc.pipeline = ex.pipeline.get();
-    xc.send.assign(narr, nullptr);
-    xc.recv.assign(narr, nullptr);
     for (const core::ShardHalo& h : slices[si].spec.halos) {
       const std::size_t ai = static_cast<std::size_t>(h.array);
+      core::DeviceLink* push = nullptr;
+      core::DeviceLink* pull = nullptr;
       if (h.send_peer >= 0) {
-        const std::size_t peer = static_cast<std::size_t>(h.send_peer);
-        auto link = std::make_unique<HaloLink>();
-        link->src = &dev;
-        link->dst = devices_.at(static_cast<std::size_t>(shards_[peer].device));
-        link->src_index = ex.device;
-        link->dst_index = shards_[peer].device;
+        auto halo = std::make_unique<Halo>();
+        halo->src = ex.device;
+        halo->dst = shards_[static_cast<std::size_t>(h.send_peer)].device;
+        core::DeviceLink& l = halo->link;
         const core::ArraySpec& a = job_.spec.arrays[ai];
-        link->lo = a.split.start(slices[si].begin);  // the shard boundary
-        link->unit = ex.pipeline->array_view(ai).slab;
-        link->stage_bytes = static_cast<Bytes>(h.send_hi - link->lo) * link->unit;
-        link->stage = link->dst->device_malloc(link->stage_bytes);
-        xc.send[ai] = link.get();
-        by_recv[{h.send_peer, h.array}] = link.get();
-        links_.push_back(std::move(link));
+        l.home = devices_.at(static_cast<std::size_t>(halo->dst));
+        l.lo = a.split.start(slices[si].begin);  // the shard boundary
+        l.unit = core::layout::unit_bytes(a);
+        l.stage = l.home->device_malloc(static_cast<Bytes>(h.send_hi - l.lo) * l.unit);
+        push = &l;
+        by_recv[{h.send_peer, h.array}] = &l;
+        halos_.push_back(std::move(halo));
       }
       if (h.recv_peer >= 0) {
         auto it = by_recv.find({s, h.array});
         ensure(it != by_recv.end(), "shard recv halo has no link from its peer");
-        xc.recv[ai] = it->second;
+        pull = it->second;
       }
+      ex.pipeline->bind_link(ai, push, pull);
     }
-    ex.pipeline->set_exchange(ex.exchange.get());
     ex.pipeline->enqueue(job_.kernel);
     for (gpu::Stream* st : ex.pipeline->streams())
       events_.push_back(dev.record_event(*st));
@@ -249,10 +204,10 @@ bool ShardRun::start_round(const std::vector<int>& devices,
   }
 
   if (opts_.flight) {
-    for (const auto& l : links_)
-      if (l->moved > 0)
+    for (const auto& h : halos_)
+      if (h->link.pushed > 0)
         opts_.flight(telemetry::FlightEventKind::P2pXfer,
-                     static_cast<std::int64_t>(l->moved), l->src_index, l->dst_index);
+                     static_cast<std::int64_t>(h->link.pushed), h->src, h->dst);
   }
   return true;
 }
@@ -272,8 +227,8 @@ void ShardRun::finish_round() {
     ex.pipeline.reset();
     admission_.release(ex.device, ex.footprint);
   }
-  for (auto& l : links_) l->dst->device_free(l->stage);
-  links_.clear();
+  for (auto& h : halos_) h->link.home->device_free(h->link.stage);
+  halos_.clear();
   shards_.clear();
   cursor_ = round_end_;
   ++rounds_;

@@ -13,12 +13,12 @@
 // overhang a shard boundary (window > stride) are NOT re-uploaded from the
 // host by the neighbouring shard. core::shard_pipeline_specs wires ShardHalo
 // entries into each sub-spec, the plan builder lowers them to P2pSend /
-// P2pRecv nodes, and the ShardExchange here implements those nodes with
-// device-to-device copies (gpu::memcpy_p2p_async into a staging buffer on
-// the receiver, then an on-device memcpy into the receiver's ring slots),
-// ordered by a cross-device event. Host H2D traffic of a sharded run is
-// therefore byte-identical to a solo run — zero host bounce for halos —
-// which tests assert via PipelineStats.
+// P2pRecv nodes, and each halo here is a core::DeviceLink staged on the
+// receiving device: the executor pushes the sender's ring slots into it
+// with gpu::memcpy_p2p_async and lands them into the receiver's ring slots
+// with an on-device memcpy, ordered by the link's cross-device event. Host
+// H2D traffic of a sharded run is therefore byte-identical to a solo run —
+// zero host bounce for halos — which tests assert via PipelineStats.
 //
 // Determinism: shard outputs are disjoint per iteration and halo slices are
 // copies of data the sender uploaded from the same host array, so results
@@ -131,37 +131,19 @@ class ShardRun {
   SimTime finish_time() const { return finish_time_; }
 
  private:
-  /// One staged halo channel between a neighbouring shard pair, per array:
-  /// the sender P2P-copies its overhanging window head into `stage` (on the
-  /// receiver's device) and records `sent`; the receiver waits on `sent`
-  /// and lands the slice into its own ring slots with an on-device copy.
-  struct HaloLink {
-    gpu::Gpu* src = nullptr;
-    gpu::Gpu* dst = nullptr;
-    int src_index = -1;  ///< scheduler device indices (flight events)
-    int dst_index = -1;
-    std::byte* stage = nullptr;
-    Bytes stage_bytes = 0;
-    std::int64_t lo = 0;  ///< first staged split index (the shard boundary)
-    Bytes unit = 0;       ///< bytes per split index (the array's slab size)
-    gpu::EventPtr sent;
-    Bytes moved = 0;  ///< bytes pushed through this link (this round)
-  };
-
-  /// Per-shard PlanExchange: implements the shard's P2pSend/P2pRecv nodes
-  /// against its HaloLinks.
-  class Exchange final : public core::PlanExchange {
-   public:
-    void issue(gpu::Gpu& g, gpu::Stream& s, const core::PlanNode& n) override;
-    core::Pipeline* pipeline = nullptr;
-    std::vector<HaloLink*> send;  ///< by array index; null = no halo
-    std::vector<HaloLink*> recv;
+  /// One halo between a neighbouring shard pair, per array: the sender
+  /// pushes its overhanging window head into the link, staged on the
+  /// receiver's device from the shard boundary on, and the receiver pulls
+  /// it into its own ring slots.
+  struct Halo {
+    core::DeviceLink link;
+    int src = -1;  ///< sending and receiving device indices (flight events)
+    int dst = -1;
   };
 
   struct ShardExec {
     int device = -1;  ///< scheduler device index
     Bytes footprint = 0;
-    std::unique_ptr<Exchange> exchange;
     std::unique_ptr<core::Pipeline> pipeline;
   };
 
@@ -175,7 +157,7 @@ class ShardRun {
   std::int64_t round_end_ = 0;  ///< where the live round's slice stops
   std::vector<ShardExec> shards_;  ///< live round, ascending shard order
   std::vector<gpu::EventPtr> events_;  ///< live round's stream events
-  std::vector<std::unique_ptr<HaloLink>> links_;
+  std::vector<std::unique_ptr<Halo>> halos_;  ///< live round's halos
 
   std::int64_t chunk0_ = 0;
   int streams0_ = 0;

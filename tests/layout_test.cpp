@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "core/layout.hpp"
@@ -107,12 +108,14 @@ TEST(Layout, RingSegmentsWrapDecomposition) {
 TEST(Layout, PartitionWeightedSplitsProportionally) {
   EXPECT_EQ(partition_weighted(100, {1.0, 1.0}, 4), (std::vector<std::int64_t>{48, 52}));
   EXPECT_EQ(partition_weighted(90, {2.0, 1.0}, 10), (std::vector<std::int64_t>{60, 30}));
+  EXPECT_EQ(partition_weighted(90, {2.0, 1.0}, 1), (std::vector<std::int64_t>{60, 30}));
   EXPECT_EQ(partition_weighted(7, {1.0}, 2), (std::vector<std::int64_t>{7}));
-  // Parts always sum to the total.
-  const auto parts = partition_weighted(101, {3.0, 2.0, 1.0}, 8);
-  std::int64_t sum = 0;
-  for (auto p : parts) sum += p;
-  EXPECT_EQ(sum, 101);
+  // Parts always sum to the total, also for a loop shorter than one granule.
+  auto sum = [](const std::vector<std::int64_t>& parts) {
+    return std::accumulate(parts.begin(), parts.end(), std::int64_t{0});
+  };
+  EXPECT_EQ(sum(partition_weighted(101, {3.0, 2.0, 1.0}, 8)), 101);
+  EXPECT_EQ(sum(partition_weighted(3, {1.0, 1.0, 1.0}, 4)), 3);
 }
 
 TEST(Layout, PartitionWeightedRejectsBadInputs) {

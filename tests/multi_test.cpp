@@ -5,6 +5,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/layout.hpp"
 #include "core/multi.hpp"
 #include "gpu/device_profile.hpp"
 
@@ -74,17 +75,18 @@ TEST(SharedContext, EachDeviceHasItsOwnMemorySpace) {
   EXPECT_EQ(g1.device_mem_stats().current, 1024u);
 }
 
+// MultiPipeline splits the loop across devices with layout::partition_weighted.
 TEST(Partition, SplitsProportionallyInChunkGranules) {
-  const auto parts = MultiPipeline::partition(100, {1.0, 1.0}, 4);
+  const auto parts = layout::partition_weighted(100, {1.0, 1.0}, 4);
   EXPECT_EQ(parts, (std::vector<std::int64_t>{48, 52}));
-  const auto uneven = MultiPipeline::partition(90, {2.0, 1.0}, 1);
+  const auto uneven = layout::partition_weighted(90, {2.0, 1.0}, 1);
   EXPECT_EQ(uneven, (std::vector<std::int64_t>{60, 30}));
-  const auto one = MultiPipeline::partition(7, {5.0}, 2);
+  const auto one = layout::partition_weighted(7, {5.0}, 2);
   EXPECT_EQ(one, (std::vector<std::int64_t>{7}));
 }
 
 TEST(Partition, TinyLoopsGoEntirelyToOneDevice) {
-  const auto parts = MultiPipeline::partition(3, {1.0, 1.0, 1.0}, 4);
+  const auto parts = layout::partition_weighted(3, {1.0, 1.0, 1.0}, 4);
   EXPECT_EQ(std::accumulate(parts.begin(), parts.end(), std::int64_t{0}), 3);
 }
 

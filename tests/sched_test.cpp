@@ -558,6 +558,37 @@ std::string events_jsonl(const telemetry::FlightRecorder& rec) {
   return os.str();
 }
 
+// The report's run totals, the exported sched.* counters, and the per-job
+// records are one set of facts: each total equals its counter (the stitch
+// counters are exported only for mixes with lineage, and read 0 otherwise)
+// and the sum its records imply.
+void expect_totals_agree(const sched::ScheduleReport& rep, const telemetry::Registry& reg) {
+  std::int64_t retries = 0, shrinks = 0, misses = 0, stitched = 0;
+  Bytes stitched_bytes = 0;
+  for (const sched::JobRecord& r : rep.jobs) {
+    retries += std::max(r.admission_attempts - 1, 0);
+    shrinks += r.shrunk;
+    misses += r.deadline_missed;
+    stitched += r.stitched_in || r.stitched_out;
+    stitched_bytes += r.stitched_bytes;
+  }
+  EXPECT_EQ(rep.admission_retries, retries);
+  EXPECT_EQ(rep.admission_shrinks, shrinks);
+  EXPECT_EQ(rep.deadline_misses, misses);
+  EXPECT_EQ(rep.stitched_jobs, stitched);
+  EXPECT_EQ(rep.stitched_bytes, stitched_bytes);
+  EXPECT_EQ(reg.counter_value("sched.jobs_completed"), rep.completed);
+  EXPECT_EQ(reg.counter_value("sched.jobs_rejected"), rep.rejected);
+  EXPECT_EQ(reg.counter_value("sched.backpressure_events"), rep.backpressure_events);
+  EXPECT_EQ(reg.counter_value("sched.admission_retries"), rep.admission_retries);
+  EXPECT_EQ(reg.counter_value("sched.admission_shrinks"), rep.admission_shrinks);
+  EXPECT_EQ(reg.counter_value("sched.deadline_misses"), rep.deadline_misses);
+  EXPECT_EQ(reg.counter_value("sched.stitched_jobs"), rep.stitched_jobs);
+  EXPECT_EQ(reg.counter_value("sched.stitched_bytes"),
+            static_cast<std::int64_t>(rep.stitched_bytes));
+  EXPECT_EQ(reg.counter_value("sched.handoff_fallbacks"), rep.handoff_fallbacks);
+}
+
 // 700 Modeled tenants arriving 50 us apart (20k jobs/s) on 2 x K40m: the
 // ready queue fills, arrivals backpressure, and many tenants run at once.
 TEST(SchedulerGolden, SevenHundredJobBurstIsPinned) {
@@ -582,6 +613,9 @@ TEST(SchedulerGolden, SevenHundredJobBurstIsPinned) {
   EXPECT_EQ(rec.total_recorded(), 2110u);
   EXPECT_EQ(digest(records_text(rep.jobs)), 16392111430609873386ULL);
   EXPECT_EQ(digest(events), 2276878205084549653ULL);
+  telemetry::Registry reg;
+  s.collect_metrics(reg);
+  expect_totals_agree(rep, reg);
 }
 
 // A sharded job loses every device inside its first round and gets device
@@ -737,6 +771,8 @@ TEST(SchedulerGolden, DistinctShapeSjfMixWithARejectedChainIsPinned) {
   EXPECT_EQ(digest(records_text(rep.jobs)), 5705109416280359259ULL);
   EXPECT_EQ(digest(estimates_text(rep.jobs)), 5995158407283927394ULL);
   EXPECT_EQ(digest(events_jsonl(rec)), 2298807782097593833ULL);
+  EXPECT_GT(rep.admission_retries, 0);
+  expect_totals_agree(rep, reg);
 
   // Observation purity: sampling (which reads the plan cache mid-run) and
   // recording leave every record untouched.
@@ -747,6 +783,59 @@ TEST(SchedulerGolden, DistinctShapeSjfMixWithARejectedChainIsPinned) {
   for (const sched::ScheduleReport* other : {&plain, &sampled}) {
     EXPECT_EQ(records_text(other->jobs), records_text(rep.jobs));
     EXPECT_EQ(estimates_text(other->jobs), estimates_text(rep.jobs));
+  }
+}
+
+// A chain head fanned out to two consumers that arrive together, on 3 x
+// K40m in Functional mode. The head's device leaves right after the head
+// starts, so neither consumer can co-place with its staging: the first
+// lands the head's output through a P2P mirror on its own device, and the
+// second, on a third device, finds the link's one mirror taken and falls
+// back to the host rescue, running unstitched. Both must still produce the
+// chain's result, and the run must hand back every committed and
+// allocated byte.
+TEST(SchedulerGolden, FanOutThroughAMirrorAndAHostRescueIsPinned) {
+  Machine m(3);
+  std::vector<Bytes> free_before;
+  for (gpu::Gpu* g : m.devices) free_before.push_back(g->device_mem_free());
+  telemetry::FlightRecorder rec;
+  sched::SchedulerOptions opts;
+  opts.recorder = &rec;
+  opts.device_events = {{1e-5, 0, false}};
+  sched::Scheduler s(m.devices, opts);
+  std::vector<sched::ServeJob> jobs = sched::make_chain_jobs(1, 2, "small", 0);
+  sched::ServeJob second = jobs[1];
+  second.job.name += "-b";
+  second.out = std::make_shared<std::vector<double>>(second.out->size(), 0.0);
+  second.job.spec.arrays[1].host = reinterpret_cast<std::byte*>(second.out->data());
+  jobs.push_back(std::move(second));
+  for (const sched::ServeJob& j : jobs) s.submit(j.job);
+  const sched::ScheduleReport rep = s.run();
+
+  ASSERT_EQ(rep.completed, 3);
+  for (const sched::ServeJob& j : jobs) EXPECT_TRUE(j.verify()) << j.job.name;
+  EXPECT_EQ(jobs[1].output_checksum(), jobs[2].output_checksum());
+  const std::vector<sched::JobRecord>& r = rep.jobs;
+  EXPECT_EQ(r[0].device, 0);
+  EXPECT_TRUE(r[0].stitched_out);
+  EXPECT_EQ(r[1].device, 1);
+  EXPECT_TRUE(r[1].stitched_in);
+  EXPECT_TRUE(r[1].handoff_fallback);
+  EXPECT_EQ(r[2].device, 2);
+  EXPECT_FALSE(r[2].stitched_in);
+  EXPECT_FALSE(r[2].handoff_fallback);
+  EXPECT_EQ(rep.handoff_fallbacks, 1);
+  EXPECT_EQ(rep.stitched_jobs, 2);
+  telemetry::Registry reg;
+  s.collect_metrics(reg);
+  expect_totals_agree(rep, reg);
+  EXPECT_EQ(digest(records_text(r)), 4525390720488526142ULL);
+  EXPECT_EQ(digest(events_jsonl(rec)), 11661099320882786156ULL);
+  for (int dev = 0; dev < 3; ++dev) {
+    EXPECT_EQ(s.admission().committed(dev), 0) << "dev" << dev;
+    EXPECT_EQ(m.devices[static_cast<std::size_t>(dev)]->device_mem_free(),
+              free_before[static_cast<std::size_t>(dev)])
+        << "dev" << dev;
   }
 }
 

@@ -1,8 +1,8 @@
 // Elastic sharding tests: shard_pipeline_specs partitioning and halo
 // wiring, P2P plan nodes (build, validate, DOT), the zero-host-bounce
 // guarantee, run-twice determinism including a mid-run device-leave
-// reshard, the P2P hazard ordering, and the new flight-recorder kinds'
-// JSONL schema.
+// reshard, the P2P hazard ordering, the device-link safety checks, and the
+// new flight-recorder kinds' JSONL schema.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -104,6 +104,9 @@ TEST(ShardSpecs, ZeroWeightDevicesAreDropped) {
   ASSERT_EQ(slices.size(), 2u);
   EXPECT_EQ(slices[0].shard, 0);
   EXPECT_EQ(slices[1].shard, 1);  // renumbered contiguously
+  // Each slice still names the weight (device) it was cut for.
+  EXPECT_EQ(slices[0].weight, 0u);
+  EXPECT_EQ(slices[1].weight, 2u);
 }
 
 TEST(ShardSpecs, Shardable) {
@@ -179,6 +182,35 @@ TEST(ShardPlan, P2pSendIsOrderedAgainstHaloWrites) {
   }
   ASSERT_TRUE(mutated);
   EXPECT_THROW(bad.validate(), gpu::HazardError);
+}
+
+// The executor's link path refuses a link node whose link is missing, not
+// yet pushed (a P2pRecv enqueued before its sender), or retired.
+TEST(ShardPlan, LinkNodesRefuseMissingUnpushedAndRetiredLinks) {
+  sched::ServeJob sj = sched::make_serve_job(stencil_large(), 0);
+  const auto slices = core::shard_pipeline_specs(sj.job.spec, {1.0, 1.0});
+  ASSERT_FALSE(slices[0].spec.halos.empty());
+  const std::size_t ai = static_cast<std::size_t>(slices[0].spec.halos[0].array);
+  Machine m(2);
+  {
+    core::Pipeline recv_side(*m.devices[0], slices[0].spec);
+    EXPECT_THROW(recv_side.enqueue(sj.job.kernel), Error);
+  }
+  core::DeviceLink link;
+  link.home = m.devices[0];
+  link.stage = m.devices[0]->device_malloc(1024);
+  {
+    core::Pipeline recv_side(*m.devices[0], slices[0].spec);
+    recv_side.bind_link(ai, nullptr, &link);
+    EXPECT_THROW(recv_side.enqueue(sj.job.kernel), Error);
+  }
+  m.devices[0]->device_free(link.stage);
+  link.stage = nullptr;
+  {
+    core::Pipeline send_side(*m.devices[1], slices[1].spec);
+    send_side.bind_link(ai, &link, nullptr);
+    EXPECT_THROW(send_side.enqueue(sj.job.kernel), Error);
+  }
 }
 
 // --- Functional sharded execution ----------------------------------------
