@@ -22,6 +22,7 @@ struct Outcome {
 Outcome run_variant(bool pinned, bool registered) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   quiet(g);
+  g.trace().set_enabled(true);  // the H2D column sums the recorded spans
   const std::int64_t rows = 512, row_elems = 262144;  // 2 MiB rows, 1 GiB total
   const Bytes bytes = static_cast<Bytes>(rows * row_elems) * sizeof(double);
   std::byte* in = g.host_alloc(bytes, pinned);

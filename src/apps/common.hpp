@@ -47,16 +47,22 @@ struct Measurement {
   std::uint64_t checksum = 0;
 };
 
-/// Runs `fn` between quiesced device states and reports timing/memory.
+/// Runs `fn` between quiesced device states and reports timing/memory. The
+/// per-kind figures come from the device trace, so recording is on for the
+/// region; the caller's setting is restored afterwards and the region's
+/// spans stay in the trace.
 template <typename Fn>
 Measurement measure(gpu::Gpu& g, Fn&& fn) {
   g.synchronize();
   g.reset_peak_mem();
   g.trace().clear();
+  const bool was_recording = g.trace().enabled();
+  g.trace().set_enabled(true);
   Measurement m;
   const SimTime t0 = g.host_now();
   fn();
   g.synchronize();
+  g.trace().set_enabled(was_recording);
   m.seconds = g.host_now() - t0;
   m.peak_device_mem = g.device_mem_stats().peak;
   m.reported_device_mem = g.reported_peak_memory();

@@ -18,6 +18,8 @@
 //    docs/observability.md).
 //  * export_series_jsonl: one JSON object per retained sample point,
 //    series in name order, points oldest-first.
+//  * export_spans_jsonl: one JSON object per retained span of one device's
+//    trace, in recording order, keyed by the job's trace id.
 #pragma once
 
 #include <charconv>
@@ -29,6 +31,7 @@
 #include "common/flight_recorder.hpp"
 #include "common/metrics.hpp"
 #include "core/timeseries.hpp"
+#include "sim/trace.hpp"
 
 namespace gpupipe::telemetry {
 
@@ -139,6 +142,18 @@ inline void export_series_jsonl(std::ostream& os, const TimeSeriesStore& store) 
       os << "{\"series\":\"" << name << "\",\"t\":" << format_double(p.t)
          << ",\"v\":" << format_double(p.v) << "}\n";
   }
+}
+
+/// One JSON-lines object per retained span of device `dev`'s trace, in
+/// recording order. `trace` (the job's trace id) and `node` (the plan node)
+/// are -1 for work outside a job or a plan.
+inline void export_spans_jsonl(std::ostream& os, const sim::Trace& t, int dev) {
+  for (const sim::Span& s : t.spans())
+    os << "{\"dev\":" << dev << ",\"trace\":" << s.trace << ",\"node\":" << s.node
+       << ",\"kind\":\"" << sim::to_string(s.kind) << "\",\"lane\":\""
+       << sim::json_escape(t.lane(s)) << "\",\"label\":\"" << sim::json_escape(t.label(s))
+       << "\",\"start\":" << format_double(s.start) << ",\"end\":" << format_double(s.end)
+       << ",\"bytes\":" << s.bytes << "}\n";
 }
 
 }  // namespace gpupipe::telemetry

@@ -76,13 +76,25 @@ TuneResult autotune(gpu::Gpu& g, PipelineSpec spec, const KernelFactory& make_ke
     probe_spec.chunk_size = 1;
     probe_spec.num_streams = 1;
     probe_spec.loop_end = std::min(spec.loop_end, spec.loop_begin + 1);
+    // Record the probe's own run only, and read only the spans it recorded:
+    // whatever the device ran before must not seed the model.
+    sim::Trace& trace = g.trace();
+    const bool was_recording = trace.enabled();
+    const std::uint64_t before = trace.spans().size() + trace.dropped_spans();
+    trace.set_enabled(true);
     Pipeline probe(g, probe_spec);
     probe.run(make_kernel);
+    trace.set_enabled(was_recording);
+    // The probe's spans are the newest ones (a capacity-bounded trace keeps
+    // as many of them as fit).
+    const std::vector<sim::Span>& spans = trace.spans();
+    const std::uint64_t recorded = spans.size() + trace.dropped_spans() - before;
+    const std::size_t first = spans.size() - std::min<std::size_t>(recorded, spans.size());
     // The kernel was the only compute op in the probe region.
-    SimTime launch = g.profile().kernel_launch_latency;
-    for (const auto& span : g.trace().spans()) {
-      if (span.kind == sim::SpanKind::Kernel)
-        per_iter_kernel = std::max(per_iter_kernel, span.duration() - launch);
+    const SimTime launch = g.profile().kernel_launch_latency;
+    for (std::size_t i = first; i < spans.size(); ++i) {
+      if (spans[i].kind == sim::SpanKind::Kernel)
+        per_iter_kernel = std::max(per_iter_kernel, spans[i].duration() - launch);
     }
   }
 

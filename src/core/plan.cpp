@@ -990,26 +990,21 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
     for (int s = 0; s < plan.num_streams; ++s)
       lane_ids[static_cast<std::size_t>(s)] = out.trace.intern(lane(s));
   }
-  // Makespan-only runs give every task one empty label: nothing is formatted
-  // or hashed per task. Labels never feed the clock, so the timeline (and
-  // the makespan) is the same either way.
-  const StringId unlabeled = command.arena().intern({});
+  // Every task takes the empty label (id 0): nothing reads a task's label,
+  // so only a recorded span gets one. Labels never feed the clock, so the
+  // timeline (and the makespan) is the same either way.
+  const StringId unlabeled = 0;
 
-  // `label` is a callable producing the task's label; only traced runs call
+  // `label` is a callable producing the span's label; only traced runs call
   // it (and record the span).
   auto submit = [&](int stream, sim::Engine& engine, SimTime dur, sim::SpanKind kind,
                     auto&& label, Bytes bytes, std::int64_t node) {
     host += profile.api_call_host_overhead;
     if (&engine != &command) dur += sched;
-    sim::TaskPtr t;
-    if (traced) {
-      const std::string& text = label();
-      t = sim::Task::create(engine, dur, text);
+    sim::TaskPtr t = sim::Task::create(engine, dur, unlabeled);
+    if (traced)
       t->set_span(out.trace, kind, lane_ids[static_cast<std::size_t>(stream)],
-                  out.trace.intern(text), bytes, node);
-    } else {
-      t = sim::Task::create(engine, dur, unlabeled);
-    }
+                  out.trace.intern(label()), bytes, node);
     sim::TaskPtr& tl = tail[static_cast<std::size_t>(stream)];
     if (tl) t->depends_on(tl);
     t->submit(host);
@@ -1019,8 +1014,7 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
 
   auto wait_on = [&](int stream, const sim::TaskPtr& ev) {
     host += profile.api_call_host_overhead;
-    auto t = traced ? sim::Task::create(command, 0.0, "wait-event(" + lane(stream) + ")")
-                    : sim::Task::create(command, 0.0, unlabeled);
+    auto t = sim::Task::create(command, 0.0, unlabeled);
     sim::TaskPtr& tl = tail[static_cast<std::size_t>(stream)];
     if (tl) t->depends_on(tl);
     t->depends_on(ev);

@@ -21,6 +21,14 @@ std::uintptr_t next_device_base() {
   base += 0x0100'0000'0000ULL;  // 1 TiB apart
   return b;
 }
+
+// What a hazard check needs of one operation. The label rides here, not in
+// the on_start closure, which stays small enough for the task's inline
+// callback storage.
+struct CheckedOp {
+  MemEffects effects;
+  OpLabel label;
+};
 }  // namespace
 
 Gpu::Gpu(DeviceProfile profile, ExecMode mode, std::shared_ptr<SharedContext> context)
@@ -44,8 +52,9 @@ Gpu::Gpu(DeviceProfile profile, ExecMode mode, std::shared_ptr<SharedContext> co
     d2h_engine_ = std::make_unique<sim::Engine>(sim, "d2h", profile_.d2h_engines);
   compute_ = std::make_unique<sim::Engine>(sim, "compute", profile_.max_concurrent_kernels);
   command_ = std::make_unique<sim::Engine>(sim, "command", 1 << 20);
-  streams_.emplace_back(Stream{next_stream_id_++, "stream0"});
+  streams_.emplace_back(Stream{next_stream_id_++, "stream0", intern_name("stream0")});
   default_stream_ = &streams_.back();
+  trace_.set_enabled(false);
 }
 
 Gpu::~Gpu() = default;
@@ -56,7 +65,8 @@ Stream& Gpu::create_stream(std::string name) {
   host_advance(profile_.api_call_host_overhead);
   const int id = next_stream_id_++;
   if (name.empty()) name = "stream" + std::to_string(id);
-  streams_.emplace_back(Stream{id, std::move(name)});
+  const StringId name_id = intern_name(name);
+  streams_.emplace_back(Stream{id, std::move(name), name_id});
   ++live_streams_;
   max_live_streams_ = std::max(max_live_streams_, live_streams_);
   return streams_.back();
@@ -72,16 +82,17 @@ void Gpu::destroy_stream(Stream& s) {
 
 EventPtr Gpu::record_event(Stream& s) {
   host_advance(profile_.api_call_host_overhead);
-  auto marker = submit(s, *command_, 0.0, sim::SpanKind::Sync, "event(" + s.name() + ")", 0,
-                       {}, {});
+  auto marker = submit(s, *command_, 0.0, sim::SpanKind::Sync, OpLabel{"event", 0, s.name_id_},
+                       0, {}, {});
   return EventPtr(new GpuEvent(std::move(marker)));
 }
 
 void Gpu::wait_event(Stream& s, const EventPtr& ev) {
   require(ev != nullptr, "wait_event on null event");
   host_advance(profile_.api_call_host_overhead);
-  auto marker =
-      sim::Task::create(*command_, 0.0, "wait-event(" + s.name() + ")");
+  // A wait marker records no span and touches no memory: nothing reads its
+  // label, so it takes the empty one.
+  auto marker = sim::Task::create(*command_, 0.0, StringId{0});
   if (s.last_) marker->depends_on(s.last_);
   marker->depends_on(ev->task_);
   marker->submit(ctx_->host_time);
@@ -176,32 +187,34 @@ void Gpu::host_unregister(const std::byte* p) {
 // --- Internal submission ---
 
 sim::TaskPtr Gpu::submit(Stream& s, sim::Engine& engine, SimTime duration, sim::SpanKind kind,
-                         std::string label, Bytes bytes, std::function<void()> payload,
+                         OpLabel label, Bytes bytes, std::function<void()> payload,
                          MemEffects effects) {
   // Hardware stream arbitration: every extra live stream adds scheduling
   // cost to every operation (except pure command markers).
   if (&engine != command_.get() && live_streams_ > 1)
     duration += profile_.sched_overhead_per_stream * (live_streams_ - 1);
 
-  auto task = sim::Task::create(engine, duration, label,
+  auto task = sim::Task::create(engine, duration, label.name,
                                 functional() ? std::move(payload) : std::function<void()>{});
   if (s.last_) task->depends_on(s.last_);
 
   if (ctx_->hazards.enabled() && (!effects.reads.empty() || !effects.writes.empty())) {
     sim::Task* raw = task.get();
-    auto eff = std::make_shared<MemEffects>(std::move(effects));
-    task->on_start([this, raw, eff, dur = duration] {
-      ctx_->hazards.begin_op(*eff, raw->start_time(), raw->start_time() + dur,
-                             raw->label());
+    auto op = std::make_shared<const CheckedOp>(CheckedOp{std::move(effects), label});
+    task->on_start([hazards = &ctx_->hazards, raw, op] {
+      hazards->begin_op(op->effects, raw->start_time(), raw->start_time() + raw->duration(),
+                        op->label);
     });
   }
 
+  // The label is formatted only for a recorded span.
   if (trace_.enabled()) {
     if (s.lane_id_ == 0) s.lane_id_ = trace_.intern(s.name());
     // The plan node and job trace id are captured now, at submission: by the
     // time the span is recorded (completion) the executor has moved on to
     // other nodes and the scheduler to other jobs.
-    task->set_span(trace_, kind, s.lane_id_, trace_.intern(label), bytes,
+    task->set_span(trace_, kind, s.lane_id_,
+                   trace_.intern(label.format(engine.arena().labels())), bytes,
                    trace_.plan_node(), trace_.trace_id());
   }
 
@@ -250,9 +263,8 @@ sim::TaskPtr Gpu::copy_common(Stream& s, sim::Engine& engine, sim::SpanKind kind
   if (dst_is_device) effects.writes.push_back({dst, shape.width, dpitch, shape.height});
   if (src_is_device) effects.reads.push_back({src, shape.width, spitch, shape.height});
 
-  return submit(s, engine, copy_duration(shape, pinned), kind,
-                std::string(what) + "[" + std::to_string(shape.total()) + "B]", shape.total(),
-                std::move(payload), std::move(effects));
+  return submit(s, engine, copy_duration(shape, pinned), kind, OpLabel{what, shape.total(), 0},
+                shape.total(), std::move(payload), std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy_h2d_async(std::byte* dst, const std::byte* src, Bytes n, Stream& s) {
@@ -279,8 +291,8 @@ sim::TaskPtr Gpu::memcpy_d2d_async(std::byte* dst, const std::byte* src, Bytes n
   effects.reads.push_back({src, n});
   const SimTime dur =
       profile_.copy_setup_latency + static_cast<double>(n) / profile_.mem_bandwidth;
-  return submit(s, *h2d_, dur, sim::SpanKind::D2D, "d2d[" + std::to_string(n) + "B]", n,
-                std::move(payload), std::move(effects));
+  return submit(s, *h2d_, dur, sim::SpanKind::D2D, OpLabel{"d2d", n, 0}, n, std::move(payload),
+                std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy_p2p_async(Gpu& peer, std::byte* dst_on_peer, const std::byte* src,
@@ -297,8 +309,8 @@ sim::TaskPtr Gpu::memcpy_p2p_async(Gpu& peer, std::byte* dst_on_peer, const std:
   effects.writes.push_back({dst_on_peer, n});
   const double bw = std::min(profile_.pcie_bandwidth, peer.profile_.pcie_bandwidth);
   const SimTime dur = profile_.copy_setup_latency + static_cast<double>(n) / bw;
-  return submit(s, *h2d_, dur, sim::SpanKind::D2D, "p2p[" + std::to_string(n) + "B]", n,
-                std::move(payload), std::move(effects));
+  return submit(s, *h2d_, dur, sim::SpanKind::D2D, OpLabel{"p2p", n, 0}, n, std::move(payload),
+                std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy2d_h2d_async(std::byte* dst, Bytes dpitch, const std::byte* src,
@@ -333,8 +345,9 @@ sim::TaskPtr Gpu::launch(Stream& s, KernelDesc desc) {
     const double memory = static_cast<double>(desc.bytes) / profile_.mem_bandwidth;
     duration = profile_.kernel_launch_latency + std::max(compute, memory);
   }
-  return submit(s, *compute_, duration, sim::SpanKind::Kernel, desc.name,
-                desc.bytes, std::move(desc.body), std::move(desc.effects));
+  return submit(s, *compute_, duration, sim::SpanKind::Kernel,
+                OpLabel{nullptr, 0, intern_name(desc.name)}, desc.bytes, std::move(desc.body),
+                std::move(desc.effects));
 }
 
 // --- Host clock ---

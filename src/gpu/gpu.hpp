@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "gpu/device_profile.hpp"
@@ -46,8 +47,9 @@ struct SharedContext {
   std::unique_ptr<Allocator> host_pageable;
   std::map<const std::byte*, Bytes> registered_host;
   /// One tracker for the whole machine: addresses are globally unique, so
-  /// peer-to-peer transfers and cross-device races are validated too.
-  HazardTracker hazards;
+  /// peer-to-peer transfers and cross-device races are validated too. The
+  /// kernel and stream names in its op labels live in the task arena.
+  HazardTracker hazards{&sim.extension<sim::TaskArena>().labels()};
 };
 
 /// Creates a context to share between devices.
@@ -64,9 +66,11 @@ class Stream {
 
  private:
   friend class Gpu;
-  Stream(int id, std::string name) : id_(id), name_(std::move(name)) {}
+  Stream(int id, std::string name, StringId name_id)
+      : id_(id), name_(std::move(name)), name_id_(name_id) {}
   int id_;
   std::string name_;
+  StringId name_id_;      // the name in the task arena (event labels)
   sim::TaskPtr last_;     // tail of the in-order chain
   StringId lane_id_ = 0;  // trace lane, interned lazily (0 = not yet)
 };
@@ -245,6 +249,9 @@ class Gpu {
   /// Charges `t` seconds of host-side computation to the virtual clock.
   void host_compute(SimTime t);
 
+  /// The device's span timeline. Recording starts off, like a real runtime
+  /// without a profiler attached: a reader turns it on with
+  /// trace().set_enabled(true) before the work it wants to see.
   sim::Trace& trace() { return trace_; }
   HazardTracker& hazards() { return ctx_->hazards; }
   sim::Simulator& simulator() { return ctx_->sim; }
@@ -266,11 +273,13 @@ class Gpu {
   void host_advance(SimTime t) { ctx_->host_time += t; }
   void wait_for(const sim::TaskPtr& t);
   sim::TaskPtr submit(Stream& s, sim::Engine& engine, SimTime duration, sim::SpanKind kind,
-                      std::string label, Bytes bytes, std::function<void()> payload,
+                      OpLabel label, Bytes bytes, std::function<void()> payload,
                       MemEffects effects);
   sim::TaskPtr copy_common(Stream& s, sim::Engine& engine, sim::SpanKind kind,
                            std::byte* dst, Bytes dpitch, const std::byte* src, Bytes spitch,
                            CopyShape shape, bool pinned, const char* what);
+  /// Interns a kernel or stream name for op labels.
+  StringId intern_name(std::string_view name) { return command_->arena().intern(name); }
 
   DeviceProfile profile_;
   ExecMode mode_;

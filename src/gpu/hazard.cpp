@@ -142,16 +142,25 @@ bool HazardTracker::force_enabled() {
   return forced;
 }
 
+std::string OpLabel::format(const StringTable& names) const {
+  if (what == nullptr) return names.lookup(name);
+  if (bytes > 0) return std::string(what) + "[" + std::to_string(bytes) + "B]";
+  if (name != 0) return std::string(what) + "(" + names.lookup(name) + ")";
+  return what;
+}
+
 void HazardTracker::begin_op(const MemEffects& effects, SimTime start, SimTime end,
-                             const std::string& label) {
+                             const OpLabel& label) {
   if (!enabled_) return;
   prune(start);
 
   auto conflict = [&](const Record& r, const char* kind) {
+    static const StringTable no_names;
+    const StringTable& names = names_ ? *names_ : no_names;
     std::ostringstream os;
-    os << kind << " hazard: '" << label << "' starting at " << start
-       << "s touches memory still in use by '" << r.label << "' (completes at " << r.end
-       << "s)";
+    os << kind << " hazard: '" << label.format(names) << "' starting at " << start
+       << "s touches memory still in use by '" << r.label.format(names) << "' (completes at "
+       << r.end << "s)";
     throw HazardError(os.str());
   };
 
@@ -169,9 +178,9 @@ void HazardTracker::begin_op(const MemEffects& effects, SimTime start, SimTime e
   }
 
   for (const auto& m : effects.reads)
-    if (m.size > 0) records_.push_back({m, end, false, label});
+    if (m.size > 0) records_.push_back({m, end, label, false});
   for (const auto& m : effects.writes)
-    if (m.size > 0) records_.push_back({m, end, true, label});
+    if (m.size > 0) records_.push_back({m, end, label, true});
 }
 
 void HazardTracker::prune(SimTime now) {

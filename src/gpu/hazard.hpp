@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/string_table.hpp"
 #include "common/units.hpp"
 
 namespace gpupipe::gpu {
@@ -53,6 +54,19 @@ struct MemRange {
 struct MemEffects {
   std::vector<MemRange> reads;
   std::vector<MemRange> writes;
+};
+
+/// An operation's label kept as parts, formatted only when something reads
+/// it (a recorded span or a hazard error): a copy reads `what[<bytes>B]`
+/// ("h2d[4096B]"), an event `what(<name>)` ("event(stream2)"), a kernel its
+/// `name`, and a label with only `what` that text. `what` has static
+/// storage; `name` is an id in the table the label is formatted with.
+struct OpLabel {
+  const char* what = nullptr;
+  Bytes bytes = 0;
+  StringId name = 0;
+
+  std::string format(const StringTable& names) const;
 };
 
 /// True when the two (possibly strided) ranges share at least one byte.
@@ -93,6 +107,10 @@ void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues);
 /// Tracks in-flight accesses and validates new ones against them.
 class HazardTracker {
  public:
+  /// `names` resolves the names in op labels when a conflict is reported (a
+  /// device context passes its task arena's label table).
+  explicit HazardTracker(const StringTable* names = nullptr) : names_(names) {}
+
   /// Disabling is ignored while GPUPIPE_FORCE_HAZARDS is set in the
   /// environment (CI runs the suite with tracking forced on so code paths
   /// that suspend the tracker still get checked).
@@ -104,9 +122,14 @@ class HazardTracker {
   static bool force_enabled();
 
   /// Validates `effects` for an operation starting at `start` and finishing
-  /// at `end`, then records its accesses. Throws HazardError on conflict.
-  void begin_op(const MemEffects& effects, SimTime start, SimTime end,
-                const std::string& label);
+  /// at `end`, then records its accesses. Throws HazardError on conflict;
+  /// only then are the labels of the two operations formatted.
+  void begin_op(const MemEffects& effects, SimTime start, SimTime end, const OpLabel& label);
+  /// As above with a fixed-text label (a string literal: records keep the
+  /// pointer).
+  void begin_op(const MemEffects& effects, SimTime start, SimTime end, const char* label) {
+    begin_op(effects, start, end, OpLabel{label});
+  }
 
   /// Drops records of accesses that completed at or before `now`.
   void prune(SimTime now);
@@ -120,10 +143,11 @@ class HazardTracker {
   struct Record {
     MemRange range;
     SimTime end;
+    OpLabel label;
     bool is_write;
-    std::string label;
   };
 
+  const StringTable* names_;
   bool enabled_ = true;
   std::vector<Record> records_;
 };

@@ -99,10 +99,10 @@ class Task {
   /// per-task path.
   static TaskPtr create(Engine& engine, SimTime duration, StringId label);
 
-  /// As above with a `payload` that runs exactly once, at completion time.
-  template <typename F>
-  static TaskPtr create(Engine& engine, SimTime duration, std::string_view label,
-                        F&& payload) {
+  /// As above (`label` a string or a pre-interned id) with a `payload` that
+  /// runs exactly once, at completion time.
+  template <typename Label, typename F>
+  static TaskPtr create(Engine& engine, SimTime duration, Label label, F&& payload) {
     TaskPtr t = create(engine, duration, label);
     t->assign_payload(std::forward<F>(payload));
     return t;
@@ -147,7 +147,6 @@ class Task {
   SimTime start_time() const { return start_; }
   /// End of service (valid once done()).
   SimTime end_time() const { return end_; }
-  const std::string& label() const;
   SimTime duration() const { return duration_; }
 
   /// Trivial default constructor: a freshly allocated slot is uninitialised
@@ -560,8 +559,6 @@ inline TaskPtr Task::create(Engine& engine, SimTime duration, StringId label) {
   require(duration >= 0.0, "task duration must be non-negative");
   return engine.arena().allocate(engine, duration, label);
 }
-
-inline const std::string& Task::label() const { return arena_->labels_.lookup(label_); }
 
 inline void Task::depends_on(const TaskPtr& pred) {
   require(pred != nullptr, "dependency must not be null");

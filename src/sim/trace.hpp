@@ -1,8 +1,14 @@
 // Timeline trace recording.
 //
-// The GPU runtime records one span per completed operation; the profiler and
-// the Fig. 3 time-distribution bench aggregate these by category. Traces can
-// also be dumped as a human-readable timeline for debugging pipelines.
+// While recording is on, the GPU runtime records one span per completed
+// operation; the profiler and the Fig. 3 time-distribution bench aggregate
+// these by category. Like a CUDA runtime without a profiler attached, a
+// gpu::Gpu's trace starts off: each reader (apps::measure, the autotune
+// probe, gpupipe_plan --metrics/--annotate, gpupipe_serve --export spans)
+// turns it on with set_enabled(true), and the runtime formats an
+// operation's label only for a span it records. A Trace built directly
+// (dry runs, tests) starts on. Traces can also be dumped as a human-readable
+// timeline for debugging pipelines.
 //
 // Spans optionally carry the id of the core::ExecutionPlan node whose
 // replay produced them (-1 when the operation came from outside a plan):
@@ -19,8 +25,8 @@
 // serve scale is a 48-byte append with no string allocation. Strings are
 // resolved back only by the aggregate views and dumps; the dump formats are
 // byte-identical to what the string-carrying spans produced. The intern
-// table survives clear() so cached ids (streams cache their lane id, tasks
-// their label id) stay valid across trace resets.
+// table survives clear() so cached ids (streams cache their lane id) stay
+// valid across trace resets.
 #pragma once
 
 #include <algorithm>
@@ -53,6 +59,28 @@ inline const char* to_string(SpanKind k) {
     case SpanKind::Other: return "other";
   }
   return "?";
+}
+
+/// `s` as the body of a JSON string: quotes and backslashes escaped, and
+/// control characters (invalid raw inside JSON strings) as six-character
+/// unicode escapes.
+inline std::string json_escape(std::string_view s) {
+  static const char* hex = "0123456789abcdef";
+  std::string out;
+  for (char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += hex[u >> 4];
+      out += hex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 /// One completed operation on the timeline. `lane` and `label` are ids in
@@ -216,25 +244,6 @@ class Trace {
   /// (stream/engine) becomes a thread row; span kinds become categories;
   /// plan-correlated spans carry their node id in args.
   void dump_chrome_json(std::ostream& os) const {
-    auto escape = [](const std::string& s) {
-      static const char* hex = "0123456789abcdef";
-      std::string out;
-      for (char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-          out += '\\';
-          out += c;
-        } else if (u < 0x20) {
-          // Control characters are invalid raw inside JSON strings.
-          out += "\\u00";
-          out += hex[u >> 4];
-          out += hex[u & 0xf];
-        } else {
-          out += c;
-        }
-      }
-      return out;
-    };
     normalize();
     // Stable lane -> tid mapping in order of first appearance. Keyed by the
     // resolved name (not the id) so the metadata rows keep the
@@ -249,10 +258,10 @@ class Trace {
       if (!first) os << ",";
       first = false;
       os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-         << ",\"args\":{\"name\":\"" << escape(lane_name) << "\"}}";
+         << ",\"args\":{\"name\":\"" << json_escape(lane_name) << "\"}}";
     }
     for (const auto& s : spans_) {
-      os << ",{\"name\":\"" << escape(strings_.lookup(s.label)) << "\",\"cat\":\""
+      os << ",{\"name\":\"" << json_escape(strings_.lookup(s.label)) << "\",\"cat\":\""
          << to_string(s.kind) << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
          << tids[strings_.lookup(s.lane)] << ",\"ts\":" << s.start * 1e6
          << ",\"dur\":" << s.duration() * 1e6;

@@ -115,6 +115,7 @@ TEST(MatmulApp, NonContiguousTransfersAreSlowerThanContiguous) {
   cfg.n = 1024;
   cfg.chunk_cols = 64;
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.trace().set_enabled(true);
   matmul_pipeline_buffer(g, cfg);
   SimTime t2d = 0.0, t1d = 0.0;
   for (const auto& s : g.trace().spans()) {

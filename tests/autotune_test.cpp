@@ -140,6 +140,53 @@ TEST(Autotune, RespectsMemoryLimit) {
   EXPECT_TRUE(infeasible_seen);
 }
 
+TEST(Autotune, ProbeSeedsTheModelFromItsOwnKernelsOnly) {
+  // The one-chunk probe's kernel time seeds the cost model. Kernels the
+  // device ran before the sweep (a heavier region, or an earlier sweep)
+  // must not leak into that seed, even when the caller records spans.
+  static constexpr std::int64_t n = 512, m = 8192;  // 64 KiB rows
+  struct Device {
+    gpu::Gpu g{gpu::nvidia_k40m(), gpu::ExecMode::Modeled};
+    PipelineSpec spec;
+    Device() {
+      g.hazards().set_enabled(false);
+      std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+      std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+      spec = rows_spec(in, out, n, m);
+    }
+    TuneResult tune(bool dry_run) {
+      TuneOptions opt;  // default candidates, probe-seeded
+      opt.dry_run = dry_run;
+      return autotune(g, spec, kernel(m, 16.0), opt);
+    }
+  };
+
+  Device fresh;
+  const TuneResult base = fresh.tune(true);
+  EXPECT_EQ(base.chunk_size, 64);
+  EXPECT_EQ(base.num_streams, 2);
+  EXPECT_FALSE(fresh.g.trace().enabled());  // the probe restored the setting
+
+  Device used;
+  used.g.trace().set_enabled(true);
+  PipelineSpec heavy = used.spec;
+  heavy.chunk_size = 64;
+  Pipeline(used.g, heavy).run(kernel(m, 400.0));
+  const TuneResult after = used.tune(true);
+  EXPECT_TRUE(used.g.trace().enabled());
+  EXPECT_EQ(after.chunk_size, base.chunk_size);
+  EXPECT_EQ(after.num_streams, base.num_streams);
+  EXPECT_EQ(after.best_time, base.best_time);
+
+  Device measured;
+  measured.g.trace().set_enabled(true);
+  const TuneResult first = measured.tune(false);
+  const TuneResult second = measured.tune(false);
+  EXPECT_EQ(second.explored.size(), first.explored.size());
+  EXPECT_EQ(second.chunk_size, first.chunk_size);
+  EXPECT_EQ(second.num_streams, first.num_streams);
+}
+
 TEST(Autotune, RejectsAdaptiveSchedule) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   std::byte* in = g.host_alloc(1 * MiB);

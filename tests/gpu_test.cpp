@@ -272,6 +272,7 @@ TEST(Gpu, ModeledModeSkipsKernelBodies) {
 
 TEST(Gpu, TraceRecordsAllOperationKinds) {
   Gpu g(simple_profile());
+  g.trace().set_enabled(true);
   std::byte* host = g.host_alloc(4096);
   std::byte* dev = g.device_malloc(4096);
   g.memcpy_h2d(dev, host, 4096);
@@ -284,6 +285,31 @@ TEST(Gpu, TraceRecordsAllOperationKinds) {
   EXPECT_TRUE(by_kind.count(sim::SpanKind::H2D));
   EXPECT_TRUE(by_kind.count(sim::SpanKind::D2H));
   EXPECT_TRUE(by_kind.count(sim::SpanKind::Kernel));
+}
+
+TEST(Gpu, HazardMessageFormatsBothLabels) {
+  // An un-evented race: a kernel on one stream reads what an H2D copy on
+  // another is still writing. Records keep label parts; the message formats
+  // them exactly as eagerly built labels read.
+  Gpu g(nvidia_k40m());
+  std::byte* host = g.host_alloc(4096);
+  std::byte* dev = g.device_malloc(4096);
+  Stream& up = g.create_stream();
+  Stream& work = g.create_stream();
+  g.memcpy_h2d_async(dev, host, 4096, up);
+  KernelDesc k;
+  k.name = "consume";
+  k.flops = 1;
+  k.effects.reads.push_back({dev, 4096});
+  g.launch(work, std::move(k));
+  try {
+    g.synchronize();
+    FAIL() << "the race was not detected";
+  } catch (const HazardError& e) {
+    EXPECT_STREQ(e.what(),
+                 "read-after-write hazard: 'consume' starting at 2.4e-05s touches memory "
+                 "still in use by 'h2d[4096B]' (completes at 7.33733e-05s)");
+  }
 }
 
 TEST(Gpu, ShippedProfilesAreSane) {

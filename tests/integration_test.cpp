@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "core/pipeline.hpp"
 #include "dsl/bind.hpp"
 #include "gpu/device_profile.hpp"
@@ -138,6 +140,7 @@ TEST(Integration, TimelineShowsTransferComputeOverlap) {
   // paper's whole point — and events measure a sensible region length.
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
+  g.trace().set_enabled(true);
   const std::int64_t n = 64, m = 65536;  // 512 KiB rows
   std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * 8);
   std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * 8);
@@ -170,10 +173,14 @@ TEST(Integration, TimelineShowsTransferComputeOverlap) {
   }
   EXPECT_TRUE(overlap);
 
-  // Chrome export of the same trace stays consistent.
+  // Chrome export of the same trace stays consistent, byte for byte: the
+  // digest pins the labels, lanes, times and args of every span.
   std::ostringstream os;
   g.trace().dump_chrome_json(os);
-  EXPECT_NE(os.str().find("HtoD"), std::string::npos);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("HtoD"), std::string::npos);
+  EXPECT_EQ(json.size(), 11444u);
+  EXPECT_EQ(fnv1a(std::span<const char>(json)), 0xd4b9a7b370dac805ULL);
 }
 
 TEST(Integration, EventElapsedBracketsARegion) {

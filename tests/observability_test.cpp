@@ -257,6 +257,7 @@ TEST(ExporterTest, SeriesJsonlGoldenBytes) {
 
 TEST(ObservabilityRun, TraceIdJoinsRecorderEventsAndSpans) {
   Machine m(2);
+  for (gpu::Gpu* d : m.devices) d->trace().set_enabled(true);
   FlightRecorder rec(4096);
   sched::SchedulerOptions opts;
   opts.recorder = &rec;
@@ -319,6 +320,7 @@ TEST(ObservabilityRun, SamplingDoesNotPerturbScheduling) {
   const auto base = run_synthetic(plain, {}, 8);
 
   Machine observed(2);
+  for (gpu::Gpu* d : observed.devices) d->trace().set_enabled(true);
   FlightRecorder rec(4096);
   telemetry::TimeSeriesStore series;
   sched::SchedulerOptions opts;
@@ -327,8 +329,8 @@ TEST(ObservabilityRun, SamplingDoesNotPerturbScheduling) {
   opts.sample_every = 0.0005;
   const auto obs = run_synthetic(observed, opts, 8);
 
-  // Recording and sampling must be pure observation: identical virtual-time
-  // outcomes, job for job.
+  // Recording events and spans and sampling must be pure observation:
+  // identical virtual-time outcomes, job for job.
   EXPECT_EQ(obs.makespan, base.makespan);
   ASSERT_EQ(obs.jobs.size(), base.jobs.size());
   for (std::size_t i = 0; i < base.jobs.size(); ++i) {

@@ -117,6 +117,7 @@ class PlanOrdering
 TEST_P(PlanOrdering, ExecutedEventOrderingIsConsistentWithPlanEdges) {
   const auto [chunk, streams, window] = GetParam();
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.trace().set_enabled(true);
   const std::int64_t n = 24, m = 64;
   std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
   std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));

@@ -122,6 +122,7 @@ struct RunResult {
 
 RunResult run_stencil(int opt_level) {
   gpu::Gpu g(gpu::nvidia_k40m());
+  g.trace().set_enabled(true);
   const std::int64_t n = 24, m = 8;
   std::vector<double> in(n * m), out(n * m, 0.0);
   std::iota(in.begin(), in.end(), 1.0);
@@ -137,8 +138,23 @@ RunResult run_stencil(int opt_level) {
 
 // --- Trace <-> plan join ---
 
+TEST(Telemetry, DeviceTraceRecordsNothingUntilAReaderTurnsItOn) {
+  // Like a runtime without a profiler attached: a pipeline run on a device
+  // nobody observes records no span and interns no trace string.
+  gpu::Gpu g(gpu::nvidia_k40m());
+  const std::int64_t n = 24, m = 8;
+  std::vector<double> in(n * m), out(n * m, 0.0);
+  std::iota(in.begin(), in.end(), 1.0);
+  Pipeline p(g, stencil_spec(in, out, n, m, 1));
+  p.run(stencil_kernel(m));
+  EXPECT_FALSE(g.trace().enabled());
+  EXPECT_TRUE(g.trace().spans().empty());
+  EXPECT_EQ(g.trace().strings().size(), 1u);  // just the empty string
+}
+
 TEST(Telemetry, EveryDeviceSpanCarriesItsPlanNode) {
   gpu::Gpu g(gpu::nvidia_k40m());
+  g.trace().set_enabled(true);
   const std::int64_t n = 24, m = 8;
   std::vector<double> in(n * m), out(n * m, 0.0);
   std::iota(in.begin(), in.end(), 1.0);
@@ -267,6 +283,7 @@ TEST(Telemetry, SimCoreCapacityMetricsAreSaneAfterADrainedRun) {
 TEST(Telemetry, AnnotateJoinsMeasuredAndModelledTimelines) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
+  g.trace().set_enabled(true);
   const std::int64_t n = 24, m = 8;
   std::vector<double> in(n * m), out(n * m);
   Pipeline p(g, stencil_spec(in, out, n, m, 1));

@@ -278,6 +278,7 @@ void run_measured(std::ostream& os, const std::string& mode,
                   gpupipe::core::DryRunCost cost) {
   gpupipe::gpu::Gpu g(profile, gpupipe::gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
+  g.trace().set_enabled(true);  // both modes read the measured spans
   gpupipe::core::Pipeline pipe(g, spec);
   pipe.run([&](const gpupipe::core::ChunkContext& ctx) {
     gpupipe::gpu::KernelDesc k;

@@ -17,7 +17,7 @@
 //                 [--queue-capacity N] [--plan-cache N] [--tune-jobs N]
 //                 [--bundle FILE] [--cache-dir DIR] [--no-solo] [--json]
 //                 [--record] [--record-capacity N] [--sample-every SEC]
-//                 [--export prom|jsonl] [--export-dir DIR]
+//                 [--export prom|jsonl|spans] [--export-dir DIR]
 //                 [--watchdog-stall SEC] [--watchdog-storm N]
 //                 [--watchdog-window SEC] [--watchdog-disk-corrupt]
 //
@@ -29,9 +29,13 @@
 // plan-cache hit rate on that sim-time cadence. --export emits the state
 // after the run: `jsonl` writes serve_events.jsonl + serve_series.jsonl
 // (and implies --record), `prom` writes serve.prom (Prometheus text format
-// over the full metrics registry); both land in --export-dir (default
-// "."). Everything runs on virtual time, so two identical runs produce
-// byte-identical export files. The --watchdog-* thresholds arm an anomaly
+// over the full metrics registry), and `spans` turns on every device's span
+// recording for the run and writes serve_spans.jsonl (one span per line:
+// device, trace id, plan node, kind, lane, label, start, end, bytes;
+// devices in index order, each device's spans in recording order). All land
+// in --export-dir (default "."). Everything runs on virtual time, so two
+// identical runs produce byte-identical export files, and recording spans
+// changes no other export. The --watchdog-* thresholds arm an anomaly
 // detector checked on the sampling cadence (default 1 ms when armed
 // without --sample-every); a trip dumps the flight recorder to
 // serve_watchdog_dump.jsonl and reports on stderr.
@@ -128,6 +132,7 @@ struct Options {
   std::size_t record_capacity = 8192;
   bool export_prom = false;
   bool export_jsonl = false;
+  bool export_spans = false;
   std::string export_dir = ".";
   double watchdog_stall = 0.0;   ///< sim-seconds without progress (0 = off)
   int watchdog_storm = 0;        ///< deadline misses per window (0 = off)
@@ -150,7 +155,7 @@ int usage() {
                "                     [--tune-jobs N] [--bundle FILE] [--cache-dir DIR]\n"
                "                     [--no-solo] [--json]\n"
                "                     [--record] [--record-capacity N]\n"
-               "                     [--sample-every SEC] [--export prom|jsonl]\n"
+               "                     [--sample-every SEC] [--export prom|jsonl|spans]\n"
                "                     [--export-dir DIR] [--watchdog-stall SEC]\n"
                "                     [--watchdog-storm N] [--watchdog-window SEC]\n"
                "                     [--watchdog-disk-corrupt]\n");
@@ -350,7 +355,8 @@ int main(int argc, char** argv) {
         const std::string fmt = next("--export");
         if (fmt == "prom") opt.export_prom = true;
         else if (fmt == "jsonl") opt.export_jsonl = true;
-        else throw Error("unknown export format '" + fmt + "' (prom|jsonl)");
+        else if (fmt == "spans") opt.export_spans = true;
+        else throw Error("unknown export format '" + fmt + "' (prom|jsonl|spans)");
       } else if (a == "--export-dir") {
         opt.export_dir = next("--export-dir");
       } else if (a == "--watchdog-stall") {
@@ -442,6 +448,8 @@ int main(int argc, char** argv) {
       gpus.push_back(std::make_unique<gpu::Gpu>(opt.machine[static_cast<std::size_t>(i)],
                                                 mode, ctx));
       devices.push_back(gpus.back().get());
+      // The span export is the only reader of the devices' timelines.
+      if (opt.export_spans) devices.back()->trace().set_enabled(true);
     }
 
     // Live observability plumbing. All three sinks are owned here and handed
@@ -585,6 +593,11 @@ int main(int argc, char** argv) {
     if (opt.export_prom)
       write_export("serve.prom",
                    [&](std::ostream& os) { telemetry::export_prometheus(os, reg); });
+    if (opt.export_spans)
+      write_export("serve_spans.jsonl", [&](std::ostream& os) {
+        for (std::size_t i = 0; i < devices.size(); ++i)
+          telemetry::export_spans_jsonl(os, devices[i]->trace(), static_cast<int>(i));
+      });
     core::PlanCache::instance().set_recorder(nullptr);  // recorder dies with main
     return ok ? 0 : 2;
   } catch (const std::exception& e) {
