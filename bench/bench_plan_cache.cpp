@@ -13,7 +13,8 @@
 //     gates the speedup at >= 2x with zero corrupt reads),
 //   * serial vs parallel autotune — the dry-run sweep at tune_jobs 1 versus
 //     one worker per hardware thread, with the TuneResult compared field by
-//     field (bit-identity is part of the contract, not just a speedup).
+//     field (bit-identity is part of the contract, not just a speedup), and
+//     how many candidates the serial sweep replayed rather than pruned.
 // Unlike the figure benches these measure *host* wall-clock: planning is
 // real CPU work, not simulated time. BENCH_plan_cache.json and
 // BENCH_plan_cache_disk.json carry the numbers for the CI floor checks.
@@ -24,6 +25,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -207,6 +209,7 @@ struct TuneTiming {
   double parallel_s = 0.0;
   bool identical = false;
   std::size_t explored = 0;
+  std::size_t measured = 0;  ///< candidates replayed (feasible, not pruned)
 };
 
 bool same_result(const core::TuneResult& a, const core::TuneResult& b) {
@@ -256,6 +259,9 @@ TuneTiming measure_tune() {
   }
   t.identical = same_result(serial, parallel);
   t.explored = serial.explored.size();
+  t.measured = static_cast<std::size_t>(
+      std::count_if(serial.explored.begin(), serial.explored.end(),
+                    [](const core::TuneCandidate& c) { return c.feasible && !c.pruned(); }));
   return t;
 }
 
@@ -335,6 +341,8 @@ void print_figure() {
   const double tune_speedup = tn.parallel_s > 0.0 ? tn.serial_s / tn.parallel_s : 0.0;
   t.add_row({"tune speedup", Table::num(tune_speedup, 2) + "x"});
   t.add_row({"tune results identical", tn.identical ? "yes" : "NO"});
+  t.add_row({"tune candidates replayed",
+              std::to_string(tn.measured) + " of " + std::to_string(tn.explored)});
   t.print(std::cout);
 
   Artifact art("plan_cache");
@@ -355,6 +363,7 @@ void print_figure() {
   art.metric("tune.serial_s", tn.serial_s);
   art.metric("tune.parallel_s", tn.parallel_s);
   art.metric("tune.explored", static_cast<double>(tn.explored));
+  art.metric("tune.measured", static_cast<double>(tn.measured));
   art.derived("warm_speedup", per_warm > 0.0 ? per_cold / per_warm : 0.0);
   art.derived("cold_hit_rate", sv.cold.hit_rate());
   art.derived("steady_hit_rate", sv.steady.hit_rate());

@@ -187,6 +187,42 @@ TEST(Autotune, ProbeSeedsTheModelFromItsOwnKernelsOnly) {
   EXPECT_EQ(second.num_streams, first.num_streams);
 }
 
+TEST(Autotune, MeasuredSweepOfAWindowFnSpecSkipsThePrefilter) {
+  // The CostModel prefilter (on by default) cannot describe a window_fn
+  // split; the measured sweep must sweep every candidate instead of
+  // throwing from the model.
+  static constexpr std::int64_t n = 256, m = 1024;
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.hazards().set_enabled(false);
+  std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  PipelineSpec spec = rows_spec(in, out, n, m);
+  spec.arrays[0].split.window_fn = [](std::int64_t k) { return std::pair{k, k + 1}; };
+
+  TuneOptions opt;
+  opt.chunk_candidates = {1, 8, 64};
+  opt.stream_candidates = {1, 2};
+  const TuneResult by_default = autotune(g, spec, kernel(m, 16.0), opt);
+  EXPECT_EQ(by_default.explored.size(), 6u);
+  EXPECT_EQ(by_default.chunk_size, 64);
+  EXPECT_EQ(by_default.num_streams, 2);
+  EXPECT_NEAR(by_default.best_time, 0.00112458, 1e-8);
+
+  opt.model_prefilter = false;
+  const TuneResult unfiltered = autotune(g, spec, kernel(m, 16.0), opt);
+  EXPECT_EQ(unfiltered.chunk_size, by_default.chunk_size);
+  EXPECT_EQ(unfiltered.num_streams, by_default.num_streams);
+  // Same measurement, later on the device's virtual clock: equal up to
+  // the clock's rounding.
+  EXPECT_NEAR(unfiltered.best_time, by_default.best_time, 1e-12);
+
+  opt.dry_run = true;  // no bound for window_fn splits: every candidate replays
+  const TuneResult dry = autotune(g, spec, kernel(m, 16.0), opt);
+  EXPECT_EQ(dry.chunk_size, by_default.chunk_size);
+  EXPECT_EQ(dry.num_streams, by_default.num_streams);
+  for (const TuneCandidate& c : dry.explored) EXPECT_FALSE(c.pruned());
+}
+
 TEST(Autotune, RejectsAdaptiveSchedule) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   std::byte* in = g.host_alloc(1 * MiB);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,7 +139,12 @@ TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
   tune.chunk_size = 48;
   tune.num_streams = 5;
   tune.best_time = 3.25e-3;
-  tune.explored = {{16, 2, 4.5e-3, true}, {48, 5, 3.25e-3, true}, {64, 8, 0.0, false}};
+  // A pruned candidate (feasible, +inf: the dry-run sweep's bound skipped
+  // its replay) rides the same f64 and flag as the others.
+  tune.explored = {{16, 2, 4.5e-3, true},
+                   {48, 5, 3.25e-3, true},
+                   {64, 8, 0.0, false},
+                   {32, 4, std::numeric_limits<SimTime>::infinity(), true}};
 
   PlanArtifact t;
   t.kind = ArtifactKind::Tune;
@@ -163,6 +169,11 @@ TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
     EXPECT_EQ(out.kind, a->kind);
     EXPECT_EQ(out.key, a->key);
     EXPECT_EQ(serialize_artifact(out), bytes);
+    if (a == &t) {
+      ASSERT_EQ(out.tune.explored.size(), 4u);
+      EXPECT_TRUE(out.tune.explored[3].pruned());
+      EXPECT_FALSE(out.tune.explored[2].pruned());  // infeasible, not pruned
+    }
   }
 }
 

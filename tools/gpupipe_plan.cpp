@@ -16,8 +16,9 @@
 //   --tune      sweep (chunk_size, num_streams) candidates with the dry-run
 //               autotuner and print the exploration table (never executes:
 //               the kernel term comes from --flops-per-iter/--bytes-per-iter;
-//               --tune-jobs N parallelizes the sweep, --json emits the
-//               TuneResult as JSON)
+//               candidates whose lower bound exceeds the best print as
+//               "pruned"; --tune-jobs N parallelizes the sweep, --json emits
+//               the TuneResult as JSON, pruned entries as "pruned":true)
 //
 // --summary/--dot/--trace never execute: the plan is pure arithmetic and
 // the timeline comes from a cost-model dry run. --metrics/--annotate run
@@ -218,6 +219,7 @@ int usage(int code) {
 
 /// --tune: the dry-run autotuner's exploration record, as a table or JSON.
 /// Entirely device-free — the analytic kernel hint replaces the probe.
+/// Pruned candidates were never replayed, so they carry no makespan.
 void run_tune(std::ostream& os, const gpupipe::core::PipelineSpec& spec,
               const gpupipe::gpu::DeviceProfile& profile,
               const gpupipe::core::DryRunCost& cost, int tune_jobs, bool json) {
@@ -233,6 +235,11 @@ void run_tune(std::ostream& os, const gpupipe::core::PipelineSpec& spec,
   const gpupipe::core::TuneResult r = gpupipe::core::autotune(
       g, spec, [](const gpupipe::core::ChunkContext&) { return gpupipe::gpu::KernelDesc{}; },
       topt);
+  std::size_t pruned = 0, infeasible = 0;
+  for (const auto& c : r.explored) {
+    pruned += c.pruned() ? 1 : 0;
+    infeasible += c.feasible ? 0 : 1;
+  }
   if (json) {
     os.precision(17);
     os << "{\"best\":{\"chunk_size\":" << r.chunk_size << ",\"num_streams\":"
@@ -242,28 +249,33 @@ void run_tune(std::ostream& os, const gpupipe::core::PipelineSpec& spec,
       if (i > 0) os << ",";
       os << "{\"chunk_size\":" << c.chunk_size << ",\"num_streams\":" << c.num_streams
          << ",\"feasible\":" << (c.feasible ? "true" : "false");
-      if (c.feasible) os << ",\"makespan_s\":" << c.measured;
+      if (c.pruned())
+        os << ",\"pruned\":true";  // never replayed: no makespan
+      else if (c.feasible)
+        os << ",\"makespan_s\":" << c.measured;
       os << "}";
     }
     os << "]}\n";
     return;
   }
-  os << "autotune: " << r.explored.size() << " candidates, best chunk " << r.chunk_size
-     << " x " << r.num_streams << " streams (" << r.best_time << " s)\n";
+  os << "autotune: " << r.explored.size() << " candidates ("
+     << r.explored.size() - pruned - infeasible << " measured, " << pruned << " pruned, "
+     << infeasible << " infeasible), best chunk " << r.chunk_size << " x " << r.num_streams
+     << " streams (" << r.best_time << " s)\n";
   char line[128];
   std::snprintf(line, sizeof(line), "%8s %8s %14s %6s\n", "chunk", "streams",
                 "makespan_s", "");
   os << line;
   for (const auto& c : r.explored) {
-    if (c.feasible)
+    const bool best = c.chunk_size == r.chunk_size && c.num_streams == r.num_streams;
+    if (c.feasible && !c.pruned())
       std::snprintf(line, sizeof(line), "%8lld %8d %14.6e %6s\n",
                     static_cast<long long>(c.chunk_size), c.num_streams, c.measured,
-                    (c.chunk_size == r.chunk_size && c.num_streams == r.num_streams)
-                        ? "best"
-                        : "");
+                    best ? "best" : "");
     else
       std::snprintf(line, sizeof(line), "%8lld %8d %14s %6s\n",
-                    static_cast<long long>(c.chunk_size), c.num_streams, "infeasible", "");
+                    static_cast<long long>(c.chunk_size), c.num_streams,
+                    c.feasible ? "pruned" : "infeasible", "");
     os << line;
   }
 }
