@@ -333,11 +333,13 @@ PassStats halo_reuse_pass(ExecutionPlan& plan) {
           pend.emplace_back(n.array, static_cast<std::int64_t>(cell_of(c)));
         if (n.id == n.event_node) {
           // This member is the group's recorder: its completion makes the
-          // whole group's columns reusable.
-          for (const auto& [arr, cell] : pend) {
-            auto& dr = st[static_cast<std::size_t>(arr)].drained[static_cast<std::size_t>(cell)];
-            if (dr.empty() || dr.back() != did) dr.push_back(did);
-          }
+          // whole group's columns reusable. Only the latest drain is kept:
+          // a slot's drains are chained (each kernel write waits on the
+          // previous drain, each drain on its kernel), so it implies the
+          // earlier ones.
+          for (const auto& [arr, cell] : pend)
+            st[static_cast<std::size_t>(arr)].drained[static_cast<std::size_t>(cell)].assign(1,
+                                                                                          did);
           pending_drains.erase(n.event_node);
         }
         break;

@@ -59,7 +59,10 @@ inline constexpr std::uint32_t kPlanBundleMagic = 0x4e425047u;
 ///     PassStats grew elapsed_s, OptReport grew stitched_bytes/fused_kernels.
 /// v4: PassStats::elapsed_s (wall clock) is no longer persisted, so two
 ///     compiles of the same input write byte-identical records.
-inline constexpr std::uint32_t kPlanFormatVersion = 4;
+/// v5: optimized kernels wait only on the latest drain of each output slot,
+///     so records of older binaries (more kernel deps) are recomputed
+///     instead of served.
+inline constexpr std::uint32_t kPlanFormatVersion = 5;
 
 /// What one artifact carries. Values are part of the wire format.
 enum class ArtifactKind : std::uint32_t {

@@ -4,6 +4,7 @@
 // across the four evaluation applications.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -163,6 +164,47 @@ TEST(PlanOpt, SingleChunkLoopIsUnchanged) {
   EXPECT_NO_THROW(plan.validate());
   EXPECT_EQ(h2d_bytes(plan), before);
   EXPECT_EQ(report.nodes_before, report.nodes_after);
+}
+
+/// Number of `k`'s dependencies that are D2H nodes of `plan`.
+int d2h_deps(const ExecutionPlan& plan, const PlanNode& k) {
+  return static_cast<int>(std::count_if(k.deps.begin(), k.deps.end(), [&](int d) {
+    return plan.nodes[static_cast<std::size_t>(d)].op == PlanOp::D2H;
+  }));
+}
+
+TEST(PlanOpt, KernelsWaitOnNoMoreDrainsThanUnoptimized) {
+  // An output slot's drains are chained (each kernel write waits on the
+  // previous drain, each drain on its kernel), so the latest one implies
+  // the rest: halo reuse must not make kernels wait on every drain their
+  // output slots ever had. 96 rows through rings of a few chunks wrap each
+  // output slot many times.
+  for (const MapType out_map : {MapType::From, MapType::ToFrom}) {
+    for (int streams = 1; streams <= 4; ++streams) {
+      PipelineSpec spec = stencil_like(98, 4, 3, 4, streams, 0);
+      spec.arrays[1].map = out_map;
+      const ExecutionPlan naive = PlanBuilder::pipeline(spec);
+      spec.opt_level = 1;
+      const ExecutionPlan opt = PlanBuilder::pipeline(spec);
+      std::vector<const PlanNode*> naive_kernels, opt_kernels;
+      for (const PlanNode& n : naive.nodes)
+        if (n.op == PlanOp::Kernel) naive_kernels.push_back(&n);
+      for (const PlanNode& n : opt.nodes)
+        if (n.op == PlanOp::Kernel) opt_kernels.push_back(&n);
+      ASSERT_EQ(opt_kernels.size(), naive_kernels.size());
+      int total_naive = 0, total_opt = 0;
+      for (std::size_t i = 0; i < opt_kernels.size(); ++i) {
+        const int n0 = d2h_deps(naive, *naive_kernels[i]);
+        const int n1 = d2h_deps(opt, *opt_kernels[i]);
+        EXPECT_LE(n1, n0) << to_string(out_map) << ", " << streams << " streams, "
+                          << opt_kernels[i]->label;
+        total_naive += n0;
+        total_opt += n1;
+      }
+      EXPECT_GT(total_naive, 0) << "the rings must wrap for the check to bite";
+      EXPECT_LE(total_opt, total_naive);
+    }
+  }
 }
 
 TEST(PlanOpt, StreamRebalanceKeepsBytesAndValidity) {
