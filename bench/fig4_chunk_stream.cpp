@@ -25,7 +25,7 @@ const apps::Measurement& qcd_m(std::int64_t chunk, int streams) {
 }
 
 /// The buffered pipeline at plan-optimization level `opt` (default tuning):
-/// the opt-0 vs opt-1 pair measures the halo-reuse pass's H2D savings.
+/// the opt-0 vs opt-1 pair measures halo reuse's H2D savings.
 const apps::Measurement& qcd_opt_m(int opt) {
   return cached("fig4-opt" + std::to_string(opt), [&] {
     auto cfg = qcd_cfg(dataset());
@@ -59,8 +59,8 @@ void print_figure() {
   std::printf("paper: 2 streams >> 1 stream; >= 4 streams flat; larger chunks benign\n");
 
   // Machine-readable artifact: the sweep plus the two figures CI gates on —
-  // copy/compute overlap at the default tuning, and the halo-reuse pass's
-  // H2D savings (opt level 0 vs 1 on the same workload).
+  // copy/compute overlap at the default tuning, and halo reuse's H2D
+  // savings (opt level 0 vs 1 on the same workload).
   Artifact a("fig4_chunk_stream");
   a.config("profile", kProfile.name);
   a.config("workload", qcd_name(dataset()));

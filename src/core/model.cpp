@@ -31,7 +31,7 @@ ChunkCost CostModel::chunk_cost(std::int64_t c) const {
   for (const auto& a : spec_.arrays) {
     const bool in = a.map == MapType::To || a.map == MapType::ToFrom;
     const bool out = a.map == MapType::From || a.map == MapType::ToFrom;
-    // Steady state with the halo-reuse pass on: each chunk brings scale*c
+    // Steady state with halo reuse on: each chunk brings scale*c
     // new split indices (the halo stays resident from earlier chunks).
     // Unoptimized plans re-upload the halo with every chunk.
     std::int64_t steady = a.split.start.scale * c;

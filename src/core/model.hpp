@@ -84,7 +84,7 @@ class CostModel {
 ///      events, one drain per stream).
 /// Opt level 2 may rebalance copies across streams and fuse kernels, so it
 /// keeps terms 1 and 2 with a single kernel launch. Uploads count what the
-/// halo-reuse pass cannot elide: chunk 0's full window, then the indices no
+/// builder's halo reuse cannot elide: chunk 0's full window, then the indices no
 /// earlier window touched (every window at opt_level 0). The result is
 /// already shrunk by a 1e-9 relative margin, so summation-order rounding
 /// never lifts it above the replay. Returns 0 (prunes nothing) for

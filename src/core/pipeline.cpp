@@ -137,9 +137,9 @@ ExecutionPlan Pipeline::build_plan(std::int64_t from, std::int64_t to,
     state.ring_lens.push_back(a.ring->ring_len());
     state.pinned.push_back(gpu_.is_pinned(a.spec.host));
   }
-  ExecutionPlan plan =
-      PlanBuilder::pipeline(spec_, chunk_size_, effective_streams(), from, to, state);
-  opt_report_ = optimize_plan(plan, spec_.opt_level, &gpu_.profile());
+  ExecutionPlan plan = PlanBuilder::pipeline(spec_, chunk_size_, effective_streams(), from,
+                                             to, state, &opt_report_);
+  opt_report_.append(optimize_plan(plan, spec_.opt_level, &gpu_.profile()));
   return plan;
 }
 
@@ -240,7 +240,7 @@ std::vector<ChunkPlan> Pipeline::plan() const {
       const auto& a = arrays_[ai];
       const auto [w_lo, w_hi] = layout::window_of(a.spec, lo, hi);
       if (is_input(a.spec)) {
-        // Mirror the executed plan: with the halo-reuse pass enabled, only
+        // Mirror the executed plan: with halo reuse (opt level >= 1), only
         // the non-resident suffix of the window is uploaded.
         const bool elide = spec_.opt_level >= 1 && copied_any[ai];
         const std::int64_t n_lo = elide ? std::max(copied_hi[ai], w_lo) : w_lo;

@@ -1,10 +1,11 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 
 #include "common/log.hpp"
@@ -21,90 +22,463 @@ namespace {
 bool is_input(MapType m) { return m == MapType::To || m == MapType::ToFrom; }
 bool is_output(MapType m) { return m == MapType::From || m == MapType::ToFrom; }
 
-std::string range_str(std::int64_t lo, std::int64_t hi) {
-  return "[" + std::to_string(lo) + "," + std::to_string(hi) + ")";
+void append_int(std::string& s, std::int64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  s.append(buf, end);
+}
+
+/// "[lo,hi)" appended to `s`.
+void append_range(std::string& s, std::int64_t lo, std::int64_t hi) {
+  s += '[';
+  append_int(s, lo);
+  s += ',';
+  append_int(s, hi);
+  s += ')';
+}
+
+/// A node label: `what` (e.g. "h2d "), the array name, and "[lo,hi)".
+std::string range_label(std::string_view what, std::string_view name, std::int64_t lo,
+                        std::int64_t hi) {
+  std::string s;
+  s.reserve(what.size() + name.size() + 24);
+  s += what;
+  s += name;
+  append_range(s, lo, hi);
+  return s;
 }
 
 void push_dep(std::vector<int>& deps, int id) {
   if (id >= 0 && std::find(deps.begin(), deps.end(), id) == deps.end()) deps.push_back(id);
 }
 
-/// Ring-wrap decomposition of a 1-D index range into transfer pieces, with
-/// the byte shape RingBuffer::copy_in/copy_out will ship (slab: one row of
-/// count*unit bytes; block2d: dims[0] rows of count*elem bytes each).
-void fill_segments_1d(PlanNode& n, const ArraySpec& a, std::int64_t ring_len) {
-  layout::for_ring_segments(
-      n.begin, n.end, ring_len, [&](std::int64_t slot, std::int64_t idx, std::int64_t count) {
-        PlanSegment seg;
-        seg.slot = slot;
-        seg.index = idx;
-        seg.count = count;
-        if (a.split.dim == 0) {
-          seg.width = static_cast<Bytes>(count) * layout::unit_bytes(a);
-          seg.height = 1;
-        } else {
-          seg.width = static_cast<Bytes>(count) * a.elem_size;
-          seg.height = static_cast<Bytes>(a.dims[0]);
-        }
-        n.segments.push_back(seg);
-      });
-  n.bytes = static_cast<Bytes>(n.end - n.begin) * layout::unit_bytes(a);
-}
+/// Consecutive host indices [index, index + count) in consecutive ring
+/// slots: one copy piece.
+struct IndexRun {
+  std::int64_t index = 0;
+  std::int64_t count = 0;
+};
 
-/// 2-D wrap decomposition of a tile block — row-outer, column-inner, the
-/// same piece order TilePipeline's copy_block issues.
-void fill_segments_tile(PlanNode& n, const TileArraySpec& a, std::int64_t ring_rows,
-                        std::int64_t ring_cols) {
-  require(0 <= n.row_begin && n.row_begin < n.row_end && n.row_end <= a.rows && 0 <= n.begin &&
-              n.begin < n.end && n.end <= a.cols,
-          "tile array '" + a.name + "': block outside the host matrix");
-  n.bytes = 0;
-  for (std::int64_t r = n.row_begin; r < n.row_end;) {
-    const std::int64_t slot_r = r % ring_rows;
-    const std::int64_t nr = std::min(n.row_end - r, ring_rows - slot_r);
-    for (std::int64_t c = n.begin; c < n.end;) {
-      const std::int64_t slot_c = c % ring_cols;
-      const std::int64_t nc = std::min(n.end - c, ring_cols - slot_c);
-      PlanSegment seg;
-      seg.slot = slot_c;
-      seg.index = c;
-      seg.count = nc;
-      seg.row_slot = slot_r;
-      seg.row = r;
-      seg.rows = nr;
-      seg.width = static_cast<Bytes>(nc) * a.elem_size;
-      seg.height = static_cast<Bytes>(nr);
-      n.bytes += seg.bytes();
-      n.segments.push_back(seg);
-      c += nc;
-    }
-    r += nr;
+/// One mapped array's ring cells while a builder emits its plan — the
+/// plan-time mirror of the device ring both PlanBuilder::pipeline and
+/// PlanBuilder::tiles drive. Per cell (a 1-D ring slot, or a column of a
+/// tile ring buffer): the host index and row range resident in it, the copy
+/// that landed it, the nodes that read it since, and the drain group that
+/// last emptied it. Rows ride along per column, not per (row, column) cell:
+/// every copy of a tile band covers the band's one row range, so a column
+/// and its rows describe the whole cell grid.
+class RingCells {
+ public:
+  /// Empties every cell. With `elide` (opt level >= 1) resident indices
+  /// skip their upload, and an upload forgets the cell's drain: the kernel
+  /// that reads the new occupant already waits on the upload, which waited
+  /// on the drain. Without it nothing is resident and a kernel writing a
+  /// cell waits on its last drain even after an upload (the naive rules).
+  void reset(std::int64_t cells, bool elide) {
+    const auto n = static_cast<std::size_t>(cells);
+    ring_ = cells;
+    elide_ = elide;
+    index_.assign(n, -1);
+    row_lo_.assign(n, 0);
+    row_hi_.assign(n, 0);
+    producer_.assign(n, -1);
+    readers_.assign(n, {});
+    drain_.assign(n, -1);
   }
-}
+
+  std::int64_t ring() const { return ring_; }
+
+  /// Whether host index `idx` over rows [rlo, rhi) is resident, so an
+  /// upload may skip it (never at opt level 0).
+  bool resident(std::int64_t idx, std::int64_t rlo, std::int64_t rhi) const {
+    const std::size_t c = cell(idx);
+    return elide_ && index_[c] == idx && row_lo_[c] <= rlo && rhi <= row_hi_[c];
+  }
+
+  /// Whether any cell of host indices [lo, hi) has a reader or a drain to
+  /// wait for — i.e. whether the naive schedule guards this window.
+  bool guarded(std::int64_t lo, std::int64_t hi) const {
+    for (std::int64_t idx = lo; idx < hi; ++idx) {
+      const std::size_t c = cell(idx);
+      if (!readers_[c].empty() || drain_[c] >= 0) return true;
+    }
+    return false;
+  }
+
+  /// Appends what overwriting `idx`'s cell must wait for (its readers, then
+  /// its drain) to `deps`; the new occupant starts with no readers.
+  void guard(std::int64_t idx, std::vector<int>& deps) {
+    const std::size_t c = cell(idx);
+    for (int r : readers_[c]) push_dep(deps, r);
+    readers_[c].clear();
+    push_dep(deps, drain_[c]);
+  }
+
+  /// Records that copy node `copy` lands `idx` over rows [rlo, rhi).
+  void land(std::int64_t idx, std::int64_t rlo, std::int64_t rhi, int copy) {
+    const std::size_t c = cell(idx);
+    index_[c] = idx;
+    row_lo_[c] = rlo;
+    row_hi_[c] = rhi;
+    producer_[c] = copy;
+    if (elide_) drain_[c] = -1;
+  }
+
+  /// The copy that landed `idx` over rows [rlo, rhi), which must still be
+  /// resident.
+  int producer(std::int64_t idx, std::int64_t rlo, std::int64_t rhi) const {
+    const std::size_t c = cell(idx);
+    ensure(index_[c] == idx && row_lo_[c] <= rlo && rhi <= row_hi_[c] && producer_[c] >= 0,
+           "plan input slice was never scheduled for copy");
+    return producer_[c];
+  }
+
+  /// Node `id` reads `idx`'s cell: a later overwrite must wait for it.
+  void read(std::int64_t idx, int id) {
+    std::vector<int>& r = readers_[cell(idx)];
+    if (r.empty() || r.back() != id) r.push_back(id);
+  }
+
+  /// A kernel wrote `idx`'s cell: the device data no longer mirrors the
+  /// host, so it is not resident any more.
+  void write(std::int64_t idx) { index_[cell(idx)] = -1; }
+
+  /// Drain group `recorder` emptied `idx`'s cell; it implies every earlier
+  /// drain of the cell, so only the latest is kept.
+  void drained(std::int64_t idx, int recorder) { drain_[cell(idx)] = recorder; }
+  int drain(std::int64_t idx) const { return drain_[cell(idx)]; }
+
+ private:
+  std::size_t cell(std::int64_t idx) const { return static_cast<std::size_t>(idx % ring_); }
+
+  std::int64_t ring_ = 1;
+  bool elide_ = false;
+  std::vector<std::int64_t> index_;  // resident host index, -1 = none
+  std::vector<std::int64_t> row_lo_;
+  std::vector<std::int64_t> row_hi_;
+  std::vector<int> producer_;
+  std::vector<std::vector<int>> readers_;
+  std::vector<int> drain_;
+};
+
+/// How one mapped array's copies are shaped: bytes per split index (column)
+/// per copied row, and the rows a 1-D piece ships (1 for slabs, the array's
+/// rows for column blocks). Tile pieces ship one row per host row instead.
+struct CopyShape {
+  Bytes col_width = 0;
+  Bytes flat_height = 1;
+  bool tiled = false;
+};
+
+/// The node-emitting half both builders share: per-array ring cells and
+/// copy shapes, guard and upload emission with halo reuse, and the
+/// accounting of the naive schedule the OptReport measures savings
+/// against. The builders own the loop structure.
+class PlanEmitter {
+ public:
+  PlanEmitter(ExecutionPlan& plan, std::vector<CopyShape> shapes, int opt_level)
+      : plan_(plan),
+        shapes_(std::move(shapes)),
+        cells_(plan.arrays.size()),
+        elide_(opt_level >= 1),
+        stitched_by_array_(plan.arrays.size(), 0),
+        saved_by_array_(plan.arrays.size(), 0) {
+    for (const PlanArrayInfo& a : plan.arrays) wired_ = wired_ || a.handoff_link >= 0;
+    reset();
+  }
+
+  /// Empties every array's ring (plan start; tile band start).
+  void reset() {
+    for (std::size_t ai = 0; ai < cells_.size(); ++ai)
+      cells_[ai].reset(plan_.arrays[ai].ring_len, elide_);
+  }
+
+  RingCells& cells(int array) { return cells_[static_cast<std::size_t>(array)]; }
+  PlanNode& node(int id) { return plan_.nodes[static_cast<std::size_t>(id)]; }
+
+  int add(PlanNode n) {
+    n.id = static_cast<int>(plan_.nodes.size());
+    plan_.nodes.push_back(std::move(n));
+    return plan_.nodes.back().id;
+  }
+
+  /// Opens the upload window [lo, hi) of `proto`'s array (proto carries the
+  /// stream, chunk and host rows). At opt level 0 it emits the window's one
+  /// slot-reuse guard and returns its id for upload(); at level >= 1 each
+  /// upload guards its own cells, and the naive guard is only counted.
+  int open_window(const PlanNode& proto, std::int64_t lo, std::int64_t hi) {
+    RingCells& rc = cells(proto.array);
+    if (elide_) {
+      if (rc.guarded(lo, hi)) ++dropped_;
+      return -1;
+    }
+    runs_.clear();
+    add_runs(rc, lo, hi, 0, 0, /*skip_resident=*/false);
+    return guard(proto, rc);
+  }
+
+  /// Emits the upload of host indices [lo, hi) of `proto`'s array (an H2D,
+  /// or a P2pRecv from a neighbour shard): at opt level >= 1 only the
+  /// indices not resident, behind a guard of their own cells; at level 0
+  /// all of them, behind `window_guard`. A consume-side handoff array lands
+  /// through a DeviceHandoff instead of an H2D. Returns the node id, or -1
+  /// when every index was resident.
+  int upload(PlanNode proto, std::int64_t lo, std::int64_t hi, int window_guard) {
+    const std::size_t ai = static_cast<std::size_t>(proto.array);
+    const PlanArrayInfo& info = plan_.arrays[ai];
+    const CopyShape& shape = shapes_[ai];
+    RingCells& rc = cells_[ai];
+    const std::int64_t rlo = shape.tiled ? proto.row_begin : 0;
+    const std::int64_t rhi = shape.tiled ? proto.row_end : 1;
+    const Bytes naive = static_cast<Bytes>(hi - lo) * shape.col_width *
+                        (shape.tiled ? static_cast<Bytes>(rhi - rlo) : shape.flat_height);
+    const bool handoff = proto.op == PlanOp::H2D && info.handoff_link >= 0 && !info.handoff_out;
+    if (proto.op == PlanOp::H2D) h2d_before_ += naive;
+    if (handoff) {
+      proto.op = PlanOp::DeviceHandoff;
+      proto.peer = info.handoff_link;
+      ++stitched_nodes_;
+      stitched_by_array_[ai] += naive;
+    }
+
+    runs_.clear();
+    add_runs(rc, lo, hi, rlo, rhi, /*skip_resident=*/true);
+    if (elide_) ++dropped_;  // the naive upload, which this one replaces
+    if (runs_.empty()) {
+      saved_by_array_[ai] += naive;
+      return -1;
+    }
+    int g = window_guard;
+    if (elide_) {
+      g = guard(proto, rc);
+      dropped_ -= 1 + (g >= 0 ? 1 : 0);
+    }
+    proto.begin = runs_.front().index;
+    proto.end = runs_.back().index + runs_.back().count;
+    fill_segments(proto, shape, info.ring_len, rlo, rhi);
+    if (g >= 0) proto.deps.push_back(g);
+    const char* what = proto.op == PlanOp::H2D       ? "h2d "
+                       : proto.op == PlanOp::P2pRecv ? "p2p-recv "
+                                                     : "handoff-in ";
+    if (proto.bytes < naive) {
+      saved_by_array_[ai] += naive - proto.bytes;
+      ++shrunk_;
+    }
+    if (shape.tiled && proto.bytes == naive) {
+      // An unshrunk tile block names its rows too.
+      proto.label = what + info.name;
+      append_range(proto.label, rlo, rhi);
+      proto.label += 'x';
+      append_range(proto.label, proto.begin, proto.end);
+    } else {
+      proto.label = range_label(what, info.name, proto.begin, proto.end);
+    }
+    const int id = add(std::move(proto));
+    for (const IndexRun& run : runs_)
+      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx)
+        rc.land(idx, rlo, rhi, id);
+    return id;
+  }
+
+  /// Fills `n`'s segments and bytes with every index of [n.begin, n.end)
+  /// (drains and halo pushes move whole ranges).
+  void fill_all(PlanNode& n) {
+    const std::size_t ai = static_cast<std::size_t>(n.array);
+    const CopyShape& shape = shapes_[ai];
+    const std::int64_t rlo = shape.tiled ? n.row_begin : 0;
+    const std::int64_t rhi = shape.tiled ? n.row_end : 1;
+    runs_.clear();
+    add_runs(cells_[ai], n.begin, n.end, rlo, rhi, /*skip_resident=*/false);
+    fill_segments(n, shape, plan_.arrays[ai].ring_len, rlo, rhi);
+  }
+
+  /// Emits the copy-out of [lo, hi) of `proto`'s array after its kernel
+  /// (a DeviceHandoff for a produce-side handoff array).
+  int drain(PlanNode proto, std::int64_t lo, std::int64_t hi, int kernel) {
+    const std::size_t ai = static_cast<std::size_t>(proto.array);
+    const PlanArrayInfo& info = plan_.arrays[ai];
+    proto.begin = lo;
+    proto.end = hi;
+    fill_all(proto);
+    proto.deps.push_back(kernel);
+    d2h_before_ += proto.bytes;
+    if (info.handoff_link >= 0 && info.handoff_out) {
+      proto.op = PlanOp::DeviceHandoff;
+      proto.peer = info.handoff_link;
+      proto.label = range_label("handoff-out ", info.name, lo, hi);
+      ++stitched_nodes_;
+      stitched_by_array_[ai] += proto.bytes;
+    } else if (shapes_[ai].tiled) {
+      proto.label = "d2h " + info.name;
+      append_range(proto.label, proto.row_begin, proto.row_end);
+      proto.label += 'x';
+      append_range(proto.label, lo, hi);
+    } else {
+      proto.label = range_label("d2h ", info.name, lo, hi);
+    }
+    return add(std::move(proto));
+  }
+
+  /// Makes `ids` one event group: the last member records, all point at it.
+  void group(const std::vector<int>& ids) {
+    if (ids.empty()) return;
+    node(ids.back()).records_event = true;
+    for (int id : ids) node(id).event_node = ids.back();
+  }
+
+  /// The build's share of the optimization report: the naive schedule's
+  /// volume and node count, the stitch lowering, and halo reuse.
+  void finish(OptReport* report) const {
+    if (report == nullptr) return;
+    *report = OptReport{};
+    report->h2d_bytes_before = h2d_before_;
+    report->d2h_bytes_before = d2h_before_;
+    report->nodes_before = static_cast<std::int64_t>(plan_.nodes.size()) + dropped_;
+    auto entry = [this](const char* pass, const std::vector<Bytes>& by_array) {
+      PassStats s;
+      s.pass = pass;
+      for (std::size_t ai = 0; ai < by_array.size(); ++ai) {
+        s.bytes_saved_by_array.emplace_back(plan_.arrays[ai].name, by_array[ai]);
+        s.bytes_saved += by_array[ai];
+      }
+      return s;
+    };
+    if (wired_) {
+      PassStats s = entry("stitch", stitched_by_array_);
+      s.nodes_changed = stitched_nodes_;
+      report->stitched_bytes = s.bytes_saved;
+      report->passes.push_back(std::move(s));
+    }
+    if (elide_) {
+      PassStats s = entry("halo-reuse", saved_by_array_);
+      s.nodes_removed = dropped_;
+      s.nodes_changed = shrunk_;
+      report->passes.push_back(std::move(s));
+    }
+    report->h2d_bytes_after = plan_.transfer_bytes(PlanOp::H2D);
+    report->d2h_bytes_after = plan_.transfer_bytes(PlanOp::D2H);
+    report->nodes_after = static_cast<std::int64_t>(plan_.nodes.size());
+  }
+
+ private:
+  /// Collects into runs_ the indices of [lo, hi) to move — with
+  /// `skip_resident`, only those not resident over rows [rlo, rhi) — as
+  /// maximal runs broken at ring wraps.
+  void add_runs(const RingCells& rc, std::int64_t lo, std::int64_t hi, std::int64_t rlo,
+                std::int64_t rhi, bool skip_resident) {
+    const std::int64_t ring = rc.ring();
+    require(0 <= lo && lo <= hi, "ring segment range must be non-negative");
+    require(hi - lo <= ring, "ring segment range is larger than the ring");
+    for (std::int64_t idx = lo; idx < hi; ++idx) {
+      if (skip_resident && rc.resident(idx, rlo, rhi)) continue;
+      if (!runs_.empty() && runs_.back().index + runs_.back().count == idx && idx % ring != 0)
+        ++runs_.back().count;
+      else
+        runs_.push_back({idx, 1});
+    }
+  }
+
+  /// Emits the slot-reuse guard over the cells of runs_ (none when nothing
+  /// read or drained them since they were last written); returns its id.
+  int guard(const PlanNode& proto, RingCells& rc) {
+    std::vector<int> deps;
+    for (const IndexRun& run : runs_)
+      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx) rc.guard(idx, deps);
+    if (deps.empty()) return -1;
+    PlanNode sr;
+    sr.op = PlanOp::SlotReuse;
+    sr.stream = proto.stream;
+    sr.array = proto.array;
+    sr.chunk = proto.chunk;
+    sr.begin = runs_.front().index;
+    sr.end = runs_.back().index + runs_.back().count;
+    sr.row_begin = proto.row_begin;
+    sr.row_end = proto.row_end;
+    sr.deps = std::move(deps);
+    sr.label = range_label("reuse ", plan_.arrays[static_cast<std::size_t>(proto.array)].name,
+                           sr.begin, sr.end);
+    return add(std::move(sr));
+  }
+
+  /// One piece per run of runs_ — per buffer-row run of [rlo, rhi) for tile
+  /// blocks (row-outer, the order the tile binding copies in), once for
+  /// 1-D rings — and the node's bytes as their sum.
+  void fill_segments(PlanNode& n, const CopyShape& shape, std::int64_t ring_len,
+                     std::int64_t rlo, std::int64_t rhi) const {
+    const std::int64_t ring_rows = plan_.arrays[static_cast<std::size_t>(n.array)].ring_rows;
+    n.bytes = 0;
+    n.segments.reserve(runs_.size());
+    for (std::int64_t r = rlo; r < rhi;) {
+      const std::int64_t slot_r = r % ring_rows;
+      const std::int64_t nr = std::min(rhi - r, ring_rows - slot_r);
+      for (const IndexRun& run : runs_) {
+        PlanSegment seg;
+        seg.slot = run.index % ring_len;
+        seg.index = run.index;
+        seg.count = run.count;
+        seg.width = static_cast<Bytes>(run.count) * shape.col_width;
+        seg.height = shape.flat_height;
+        if (shape.tiled) {
+          seg.row_slot = slot_r;
+          seg.row = r;
+          seg.rows = nr;
+          seg.height = static_cast<Bytes>(nr);
+        }
+        n.bytes += seg.bytes();
+        n.segments.push_back(seg);
+      }
+      r += nr;
+    }
+  }
+
+  ExecutionPlan& plan_;
+  std::vector<CopyShape> shapes_;
+  std::vector<RingCells> cells_;
+  bool elide_;
+  bool wired_ = false;
+  std::vector<IndexRun> runs_;
+  // Naive-schedule accounting: its H2D/D2H volume, its nodes this plan
+  // dropped (negative when elision splits a guard in two), and the bytes
+  // the stitch lowering and halo reuse took off the host.
+  Bytes h2d_before_ = 0;
+  Bytes d2h_before_ = 0;
+  std::int64_t dropped_ = 0;
+  std::int64_t shrunk_ = 0;
+  std::int64_t stitched_nodes_ = 0;
+  std::vector<Bytes> stitched_by_array_;
+  std::vector<Bytes> saved_by_array_;
+};
 
 ExecutionPlan predicted_pipeline(const PipelineSpec& spec, const gpu::Gpu* g) {
   spec.validate();
-  PipelineBuildState state;
-  for (const auto& a : spec.arrays) {
-    state.ring_lens.push_back(
-        std::min(layout::ring_len_for_spec(a, spec.loop_begin, spec.loop_end, spec.chunk_size,
-                                           spec.num_streams),
-                 a.dims[static_cast<std::size_t>(a.split.dim)]));
-    state.pinned.push_back(g ? g->is_pinned(a.host) : true);
-  }
-  ExecutionPlan plan = PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams,
-                                             spec.loop_begin, spec.loop_end, state);
+  ExecutionPlan plan =
+      PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams, spec.loop_begin,
+                            spec.loop_end, PipelineBuildState::predicted(spec, g));
   optimize_plan(plan, spec.opt_level, g ? &g->profile() : nullptr);
   return plan;
 }
 
 }  // namespace
 
+PipelineBuildState PipelineBuildState::predicted(const PipelineSpec& spec, const gpu::Gpu* g) {
+  PipelineBuildState state;
+  state.ring_lens.reserve(spec.arrays.size());
+  state.pinned.reserve(spec.arrays.size());
+  for (const ArraySpec& a : spec.arrays) {
+    state.ring_lens.push_back(
+        std::min(layout::ring_len_for_spec(a, spec.loop_begin, spec.loop_end, spec.chunk_size,
+                                           spec.num_streams),
+                 a.dims[static_cast<std::size_t>(a.split.dim)]));
+    state.pinned.push_back(g ? g->is_pinned(a.host) : true);
+  }
+  return state;
+}
+
 // --- PlanBuilder: 1-D pipeline ---
 
 ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk_size,
                                     int num_streams, std::int64_t from, std::int64_t to,
-                                    const PipelineBuildState& state) {
+                                    const PipelineBuildState& state, OptReport* report) {
   require(chunk_size >= 1 && num_streams >= 1, "plan needs chunk_size and num_streams >= 1");
   require(from <= to, "plan iteration range is reversed");
   require(state.ring_lens.size() == spec.arrays.size(),
@@ -115,6 +489,8 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
   plan.chunk_size = chunk_size;
   plan.origin = "pipeline";
   plan.arrays.reserve(spec.arrays.size());
+  std::vector<CopyShape> shapes;
+  shapes.reserve(spec.arrays.size());
   for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
     const ArraySpec& a = spec.arrays[ai];
     PlanArrayInfo info;
@@ -123,31 +499,22 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
     info.ring_len = state.ring_lens[ai];
     info.unit_bytes = layout::unit_bytes(a);
     info.pinned = state.pinned.empty() ? true : state.pinned[ai];
-    // Handoff wiring rides along so the stitch pass (core/plan_opt.hpp) can
-    // rewrite this array's host transfers without the spec in hand.
     for (const ArrayHandoff& h : spec.handoffs)
       if (h.array == static_cast<int>(ai)) {
         info.handoff_link = h.link;
         info.handoff_out = h.produce;
       }
     plan.arrays.push_back(std::move(info));
+    // Slabs ship one row of unit bytes per index; column blocks ship
+    // dims[0] rows of one element per index.
+    if (a.split.dim == 0)
+      shapes.push_back({layout::unit_bytes(a), 1, false});
+    else
+      shapes.push_back({a.elem_size, static_cast<Bytes>(a.dims[0]), false});
   }
-
-  // Per-array dependency bookkeeping, the plan-time mirror of Pipeline's
-  // event tables: who wrote each host index (copy_writer), which kernels
-  // read each ring slot's current occupant (slot_readers — all of them, so
-  // a reuse edge orders the overwrite after *every* in-flight reader), and
-  // which drain group last emptied each slot.
-  struct AState {
-    std::unordered_map<std::int64_t, int> copy_writer;
-    std::vector<std::vector<int>> slot_readers;
-    std::vector<int> slot_drained;
-  };
-  std::vector<AState> st(spec.arrays.size());
-  for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-    st[ai].slot_readers.assign(static_cast<std::size_t>(plan.arrays[ai].ring_len), {});
-    st[ai].slot_drained.assign(static_cast<std::size_t>(plan.arrays[ai].ring_len), -1);
-  }
+  const std::int64_t chunks = (to - from + chunk_size - 1) / chunk_size;
+  plan.nodes.reserve(static_cast<std::size_t>(chunks) * (2 * spec.arrays.size() + 1));
+  PlanEmitter e(plan, std::move(shapes), spec.opt_level);
 
   // Shard halo wiring (empty for solo regions): which arrays receive part of
   // their window device-to-device, and which push their first-window head to
@@ -156,86 +523,44 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
   for (const ShardHalo& h : spec.halos)
     halo_of[static_cast<std::size_t>(h.array)] = &h;
 
-  auto add_node = [&plan](PlanNode n) {
-    n.id = static_cast<int>(plan.nodes.size());
-    plan.nodes.push_back(std::move(n));
-    return plan.nodes.back().id;
-  };
-
+  std::vector<int> group;
   std::int64_t counter = state.first_chunk;
   for (std::int64_t lo = from; lo < to; lo += chunk_size, ++counter) {
     const std::int64_t hi = std::min(lo + chunk_size, to);
     const int stream = static_cast<int>(counter % num_streams);
 
-    // ---- copy-in: newly required input slices ----
-    std::vector<int> chunk_h2d;
+    // ---- copy-in: the input slices the chunk's windows need ----
+    group.clear();
     for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
       const ArraySpec& a = spec.arrays[ai];
       if (!is_input(a.map)) continue;
-      AState& as = st[ai];
-      const std::int64_t ring = plan.arrays[ai].ring_len;
       const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-      // Naive schedule: every chunk uploads its full window. The halo-reuse
-      // pass (core/plan_opt.hpp) elides the bytes still resident in the ring
-      // from earlier chunks.
-      const std::int64_t n_lo = w_lo;
-      if (n_lo < w_hi) {
-        // Slot-reuse guard: the incoming data overwrites ring slots whose
-        // previous occupants may still be read by in-flight kernels or
-        // drained by in-flight copy-outs.
-        std::vector<int> reuse;
-        for (std::int64_t idx = n_lo; idx < w_hi; ++idx) {
-          auto& readers = as.slot_readers[static_cast<std::size_t>(idx % ring)];
-          for (int r : readers) push_dep(reuse, r);
-          readers.clear();  // the slot's new occupant starts a fresh reader set
-          push_dep(reuse, as.slot_drained[static_cast<std::size_t>(idx % ring)]);
-        }
-        int reuse_id = -1;
-        if (!reuse.empty()) {
-          PlanNode sr;
-          sr.op = PlanOp::SlotReuse;
-          sr.stream = stream;
-          sr.array = static_cast<int>(ai);
-          sr.chunk = counter;
-          sr.begin = n_lo;
-          sr.end = w_hi;
-          sr.deps = std::move(reuse);
-          sr.label = "reuse " + a.name + range_str(n_lo, w_hi);
-          reuse_id = add_node(std::move(sr));
-        }
-        // A shard's foreign tail [recv_lo, w_hi) lands via P2P from the
-        // neighbour that owns it; everything below recv_lo comes from the
-        // host as usual. Solo regions have no halo and take the first branch
-        // for the whole window.
-        const ShardHalo* hal = halo_of[ai];
-        const std::int64_t recv_lo =
-            hal && hal->recv_peer >= 0 ? std::clamp(hal->recv_lo, n_lo, w_hi) : w_hi;
-        auto emit_copy = [&](PlanOp op, std::int64_t c_lo, std::int64_t c_hi) {
-          PlanNode h;
-          h.op = op;
-          h.stream = stream;
-          h.array = static_cast<int>(ai);
-          h.chunk = counter;
-          h.begin = c_lo;
-          h.end = c_hi;
-          if (op == PlanOp::P2pRecv) h.peer = hal->recv_peer;
-          fill_segments_1d(h, a, ring);
-          if (reuse_id >= 0) h.deps.push_back(reuse_id);
-          h.label = (op == PlanOp::H2D ? "h2d " : "p2p-recv ") + a.name +
-                    range_str(c_lo, c_hi);
-          const int hid = add_node(std::move(h));
-          for (std::int64_t idx = c_lo; idx < c_hi; ++idx) as.copy_writer[idx] = hid;
-          chunk_h2d.push_back(hid);
-        };
-        if (n_lo < recv_lo) emit_copy(PlanOp::H2D, n_lo, recv_lo);
-        if (recv_lo < w_hi) emit_copy(PlanOp::P2pRecv, recv_lo, w_hi);
+      if (w_lo >= w_hi) continue;
+      PlanNode proto;
+      proto.op = PlanOp::H2D;
+      proto.stream = stream;
+      proto.array = static_cast<int>(ai);
+      proto.chunk = counter;
+      const int window_guard = e.open_window(proto, w_lo, w_hi);
+      // A shard's foreign tail [recv_lo, w_hi) lands via P2P from the
+      // neighbour that owns it; everything below recv_lo comes from the
+      // host as usual. Solo regions have no halo and upload the whole
+      // window from the host.
+      const ShardHalo* hal = halo_of[ai];
+      const std::int64_t recv_lo =
+          hal && hal->recv_peer >= 0 ? std::clamp(hal->recv_lo, w_lo, w_hi) : w_hi;
+      if (w_lo < recv_lo) {
+        const int id = e.upload(proto, w_lo, recv_lo, window_guard);
+        if (id >= 0) group.push_back(id);
+      }
+      if (recv_lo < w_hi) {
+        proto.op = PlanOp::P2pRecv;
+        proto.peer = hal->recv_peer;
+        const int id = e.upload(proto, recv_lo, w_hi, window_guard);
+        if (id >= 0) group.push_back(id);
       }
     }
-    if (!chunk_h2d.empty()) {
-      plan.nodes[static_cast<std::size_t>(chunk_h2d.back())].records_event = true;
-      for (int id : chunk_h2d)
-        plan.nodes[static_cast<std::size_t>(id)].event_node = chunk_h2d.back();
-    }
+    e.group(group);
 
     // ---- halo push: forward the first window's head to the neighbour ----
     // The overlap a neighbour's trailing windows need is exactly the head of
@@ -249,8 +574,7 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
         if (!hal || hal->send_peer < 0) continue;
         const ArraySpec& a = spec.arrays[ai];
         ensure(is_input(a.map), "shard halo send on a non-input array");
-        AState& as = st[ai];
-        const std::int64_t ring = plan.arrays[ai].ring_len;
+        RingCells& rc = e.cells(static_cast<int>(ai));
         const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
         require(w_lo < hal->send_hi && hal->send_hi <= w_hi,
                 "array '" + a.name + "': shard halo send range must sit inside the "
@@ -263,23 +587,15 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
         p.begin = w_lo;
         p.end = hal->send_hi;
         p.peer = hal->send_peer;
-        fill_segments_1d(p, a, ring);
-        for (std::int64_t idx = p.begin; idx < p.end; ++idx) {
-          auto it = as.copy_writer.find(idx);
-          ensure(it != as.copy_writer.end(), "halo send slice was never scheduled for copy");
-          push_dep(p.deps, it->second);
-        }
+        e.fill_all(p);
+        for (std::int64_t idx = p.begin; idx < p.end; ++idx)
+          push_dep(p.deps, rc.producer(idx, 0, 1));
         p.records_event = true;
-        p.label = "p2p-send " + a.name + range_str(p.begin, p.end) + "->s" +
+        p.label = range_label("p2p-send ", a.name, p.begin, p.end) + "->s" +
                   std::to_string(p.peer);
-        const std::int64_t s_lo = p.begin;
-        const std::int64_t s_hi = p.end;
-        const int pid = add_node(std::move(p));
-        plan.nodes[static_cast<std::size_t>(pid)].event_node = pid;
-        for (std::int64_t idx = s_lo; idx < s_hi; ++idx) {
-          auto& readers = as.slot_readers[static_cast<std::size_t>(idx % ring)];
-          if (readers.empty() || readers.back() != pid) readers.push_back(pid);
-        }
+        const int pid = e.add(std::move(p));
+        e.node(pid).event_node = pid;
+        for (std::int64_t idx = w_lo; idx < hal->send_hi; ++idx) rc.read(idx, pid);
       }
     }
 
@@ -291,44 +607,38 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
     k.begin = lo;
     k.end = hi;
     k.records_event = true;
-    k.label = "chunk" + std::to_string(counter);
+    k.label = "chunk";
+    append_int(k.label, counter);
     for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
       const ArraySpec& a = spec.arrays[ai];
-      AState& as = st[ai];
-      const std::int64_t ring = plan.arrays[ai].ring_len;
+      const RingCells& rc = e.cells(static_cast<int>(ai));
       const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
       if (is_input(a.map)) {
-        for (std::int64_t idx = w_lo; idx < w_hi; ++idx) {
-          auto it = as.copy_writer.find(idx);
-          ensure(it != as.copy_writer.end(), "input slice was never scheduled for copy");
-          push_dep(k.deps, it->second);
-        }
+        for (std::int64_t idx = w_lo; idx < w_hi; ++idx)
+          push_dep(k.deps, rc.producer(idx, 0, 1));
         k.accesses.push_back({static_cast<int>(ai), w_lo, w_hi, 0, 0, false});
       }
       if (is_output(a.map)) {
         // Output-slot rewrite guard: the slots this kernel writes must have
         // been drained to the host by the previous occupant's copy-out.
-        for (std::int64_t idx = w_lo; idx < w_hi; ++idx)
-          push_dep(k.deps, as.slot_drained[static_cast<std::size_t>(idx % ring)]);
+        for (std::int64_t idx = w_lo; idx < w_hi; ++idx) push_dep(k.deps, rc.drain(idx));
         k.accesses.push_back({static_cast<int>(ai), w_lo, w_hi, 0, 0, true});
       }
     }
-    const int kid = add_node(std::move(k));
-    plan.nodes[static_cast<std::size_t>(kid)].event_node = kid;
-    for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-      const ArraySpec& a = spec.arrays[ai];
-      if (!is_input(a.map)) continue;
-      AState& as = st[ai];
-      const std::int64_t ring = plan.arrays[ai].ring_len;
-      const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-      for (std::int64_t idx = w_lo; idx < w_hi; ++idx) {
-        auto& readers = as.slot_readers[static_cast<std::size_t>(idx % ring)];
-        if (readers.empty() || readers.back() != kid) readers.push_back(kid);
+    const int kid = e.add(std::move(k));
+    e.node(kid).event_node = kid;
+    for (const PlanAccess& acc : e.node(kid).accesses) {
+      RingCells& rc = e.cells(acc.array);
+      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx) {
+        if (acc.write)
+          rc.write(idx);
+        else
+          rc.read(idx, kid);
       }
     }
 
     // ---- copy-out: drain produced output slices ----
-    std::vector<int> chunk_d2h;
+    group.clear();
     for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
       const ArraySpec& a = spec.arrays[ai];
       if (!is_output(a.map)) continue;
@@ -338,28 +648,16 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
       d.stream = stream;
       d.array = static_cast<int>(ai);
       d.chunk = counter;
-      d.begin = o_lo;
-      d.end = o_hi;
-      fill_segments_1d(d, a, plan.arrays[ai].ring_len);
-      d.deps.push_back(kid);
-      d.label = "d2h " + a.name + range_str(o_lo, o_hi);
-      chunk_d2h.push_back(add_node(std::move(d)));
+      group.push_back(e.drain(std::move(d), o_lo, o_hi, kid));
     }
-    if (!chunk_d2h.empty()) {
-      const int last = chunk_d2h.back();
-      plan.nodes[static_cast<std::size_t>(last)].records_event = true;
-      for (int id : chunk_d2h) plan.nodes[static_cast<std::size_t>(id)].event_node = last;
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const ArraySpec& a = spec.arrays[ai];
-        if (!is_output(a.map)) continue;
-        AState& as = st[ai];
-        const std::int64_t ring = plan.arrays[ai].ring_len;
-        const auto [o_lo, o_hi] = layout::window_of(a, lo, hi);
-        for (std::int64_t idx = o_lo; idx < o_hi; ++idx)
-          as.slot_drained[static_cast<std::size_t>(idx % ring)] = last;
-      }
+    e.group(group);
+    for (int id : group) {
+      const PlanNode& d = e.node(id);
+      RingCells& rc = e.cells(d.array);
+      for (std::int64_t idx = d.begin; idx < d.end; ++idx) rc.drained(idx, group.back());
     }
   }
+  e.finish(report);
   return plan;
 }
 
@@ -435,7 +733,8 @@ std::vector<ShardSlice> shard_pipeline_specs(const PipelineSpec& spec,
 
 // --- PlanBuilder: 2-D tiles ---
 
-ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& state) {
+ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& state,
+                                 OptReport* report) {
   spec.validate();
   require(state.ring_rows.size() == spec.arrays.size() &&
               state.ring_cols.size() == spec.arrays.size(),
@@ -446,6 +745,7 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
   plan.chunk_size = 1;
   plan.origin = "tiles";
   plan.arrays.reserve(spec.arrays.size());
+  std::vector<CopyShape> shapes;
   for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
     const TileArraySpec& a = spec.arrays[ai];
     PlanArrayInfo info;
@@ -456,33 +756,34 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
     info.unit_bytes = a.elem_size;
     info.pinned = state.pinned.empty() ? true : state.pinned[ai];
     plan.arrays.push_back(std::move(info));
+    shapes.push_back({a.elem_size, 1, true});
   }
+  PlanEmitter e(plan, std::move(shapes), spec.opt_level);
 
-  struct AState {
-    std::unordered_map<std::int64_t, int> col_writer;
-    std::vector<std::vector<int>> col_readers;
-    std::vector<int> col_drained;
+  // The host block of tile (i, j) of array `a`: rows [rs, rh) x columns
+  // [cs, ch), which must lie inside the host matrix.
+  struct Block {
+    std::int64_t rs, rh, cs, ch;
   };
-  std::vector<AState> st(spec.arrays.size());
-
-  auto add_node = [&plan](PlanNode n) {
-    n.id = static_cast<int>(plan.nodes.size());
-    plan.nodes.push_back(std::move(n));
-    return plan.nodes.back().id;
+  auto block_of = [](const TileArraySpec& a, std::int64_t i, std::int64_t j) {
+    const Block b{a.row_split.start(i), a.row_split.start(i) + a.row_split.window,
+                  a.col_split.start(j), a.col_split.start(j) + a.col_split.window};
+    require(0 <= b.rs && b.rs < b.rh && b.rh <= a.rows && 0 <= b.cs && b.cs < b.ch &&
+                b.ch <= a.cols,
+            "tile array '" + a.name + "': block outside the host matrix");
+    return b;
   };
 
   const std::size_t ns = static_cast<std::size_t>(spec.num_streams);
   std::vector<int> prev_band_tails;
+  std::vector<int> group;
   std::int64_t tile_counter = 0;
 
   for (std::int64_t i = 0; i < spec.ni; ++i) {
-    // Band start: column bookkeeping resets; the barrier below protects the
-    // buffer rows the new band will overwrite.
-    for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-      st[ai] = AState{};
-      st[ai].col_readers.assign(static_cast<std::size_t>(plan.arrays[ai].ring_len), {});
-      st[ai].col_drained.assign(static_cast<std::size_t>(plan.arrays[ai].ring_len), -1);
-    }
+    // Band start: nothing stays resident across bands (the new band
+    // overwrites the buffer rows); the barrier below protects the rows the
+    // new band will overwrite.
+    e.reset();
     std::vector<bool> barrier_done(ns, prev_band_tails.empty());
     std::vector<bool> used(ns, false);
     std::vector<int> band_tail(ns, -1);
@@ -498,71 +799,30 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
         b.tile_i = i;
         b.deps = prev_band_tails;
         b.label = "band" + std::to_string(i) + " barrier";
-        add_node(std::move(b));
+        e.add(std::move(b));
         barrier_done[si] = true;
       }
 
-      // ---- copy-in: new columns of every input's block ----
-      std::vector<int> tile_h2d;
+      // ---- copy-in: the columns of every input's block ----
+      group.clear();
       for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
         const TileArraySpec& a = spec.arrays[ai];
         if (!is_input(a.map)) continue;
-        AState& as = st[ai];
-        const std::int64_t ring = plan.arrays[ai].ring_len;
-        const std::int64_t rs = a.row_split.start(i);
-        const std::int64_t rh = rs + a.row_split.window;
-        const std::int64_t cs = a.col_split.start(j);
-        const std::int64_t ch = cs + a.col_split.window;
-        // Naive schedule: every tile uploads its full column window; the
-        // halo-reuse pass elides columns still resident within the band.
-        const std::int64_t n_lo = cs;
-        if (n_lo < ch) {
-          std::vector<int> reuse;
-          for (std::int64_t c = n_lo; c < ch; ++c) {
-            auto& readers = as.col_readers[static_cast<std::size_t>(c % ring)];
-            for (int r : readers) push_dep(reuse, r);
-            readers.clear();
-            push_dep(reuse, as.col_drained[static_cast<std::size_t>(c % ring)]);
-          }
-          int reuse_id = -1;
-          if (!reuse.empty()) {
-            PlanNode sr;
-            sr.op = PlanOp::SlotReuse;
-            sr.stream = stream;
-            sr.array = static_cast<int>(ai);
-            sr.chunk = tile_counter;
-            sr.begin = n_lo;
-            sr.end = ch;
-            sr.row_begin = rs;
-            sr.row_end = rh;
-            sr.deps = std::move(reuse);
-            sr.label = "reuse " + a.name + range_str(n_lo, ch);
-            reuse_id = add_node(std::move(sr));
-          }
-          PlanNode h;
-          h.op = PlanOp::H2D;
-          h.stream = stream;
-          h.array = static_cast<int>(ai);
-          h.chunk = tile_counter;
-          h.begin = n_lo;
-          h.end = ch;
-          h.row_begin = rs;
-          h.row_end = rh;
-          h.tile_i = i;
-          h.tile_j = j;
-          fill_segments_tile(h, a, plan.arrays[ai].ring_rows, ring);
-          if (reuse_id >= 0) h.deps.push_back(reuse_id);
-          h.label = "h2d " + a.name + range_str(rs, rh) + "x" + range_str(n_lo, ch);
-          const int hid = add_node(std::move(h));
-          for (std::int64_t c = n_lo; c < ch; ++c) as.col_writer[c] = hid;
-          tile_h2d.push_back(hid);
-        }
+        const Block b = block_of(a, i, j);
+        PlanNode proto;
+        proto.op = PlanOp::H2D;
+        proto.stream = stream;
+        proto.array = static_cast<int>(ai);
+        proto.chunk = tile_counter;
+        proto.row_begin = b.rs;
+        proto.row_end = b.rh;
+        proto.tile_i = i;
+        proto.tile_j = j;
+        const int window_guard = e.open_window(proto, b.cs, b.ch);
+        const int id = e.upload(std::move(proto), b.cs, b.ch, window_guard);
+        if (id >= 0) group.push_back(id);
       }
-      if (!tile_h2d.empty()) {
-        plan.nodes[static_cast<std::size_t>(tile_h2d.back())].records_event = true;
-        for (int id : tile_h2d)
-          plan.nodes[static_cast<std::size_t>(id)].event_node = tile_h2d.back();
-      }
+      e.group(group);
 
       // ---- kernel ----
       PlanNode k;
@@ -577,84 +837,56 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
       k.label = "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
       for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
         const TileArraySpec& a = spec.arrays[ai];
-        AState& as = st[ai];
-        const std::int64_t ring = plan.arrays[ai].ring_len;
+        const RingCells& rc = e.cells(static_cast<int>(ai));
         const std::int64_t rs = a.row_split.start(i);
         const std::int64_t rh = rs + a.row_split.window;
         const std::int64_t cs = a.col_split.start(j);
         const std::int64_t ch = cs + a.col_split.window;
         if (is_input(a.map)) {
-          for (std::int64_t c = cs; c < ch; ++c) {
-            auto it = as.col_writer.find(c);
-            ensure(it != as.col_writer.end(), "tile input column was never copied");
-            push_dep(k.deps, it->second);
-          }
+          for (std::int64_t c = cs; c < ch; ++c) push_dep(k.deps, rc.producer(c, rs, rh));
           k.accesses.push_back({static_cast<int>(ai), cs, ch, rs, rh, false});
         }
         if (is_output(a.map)) {
-          for (std::int64_t c = cs; c < ch; ++c)
-            push_dep(k.deps, as.col_drained[static_cast<std::size_t>(c % ring)]);
+          for (std::int64_t c = cs; c < ch; ++c) push_dep(k.deps, rc.drain(c));
           k.accesses.push_back({static_cast<int>(ai), cs, ch, rs, rh, true});
         }
       }
-      const int kid = add_node(std::move(k));
-      plan.nodes[static_cast<std::size_t>(kid)].event_node = kid;
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const TileArraySpec& a = spec.arrays[ai];
-        if (!is_input(a.map)) continue;
-        AState& as = st[ai];
-        const std::int64_t ring = plan.arrays[ai].ring_len;
-        const std::int64_t cs = a.col_split.start(j);
-        const std::int64_t ch = cs + a.col_split.window;
-        for (std::int64_t c = cs; c < ch; ++c) {
-          auto& readers = as.col_readers[static_cast<std::size_t>(c % ring)];
-          if (readers.empty() || readers.back() != kid) readers.push_back(kid);
+      const int kid = e.add(std::move(k));
+      e.node(kid).event_node = kid;
+      for (const PlanAccess& acc : e.node(kid).accesses) {
+        RingCells& rc = e.cells(acc.array);
+        for (std::int64_t c = acc.lo; c < acc.hi; ++c) {
+          if (acc.write)
+            rc.write(c);
+          else
+            rc.read(c, kid);
         }
       }
 
       // ---- copy-out ----
-      std::vector<int> tile_d2h;
+      group.clear();
       for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
         const TileArraySpec& a = spec.arrays[ai];
         if (!is_output(a.map)) continue;
-        const std::int64_t rs = a.row_split.start(i);
-        const std::int64_t rh = rs + a.row_split.window;
-        const std::int64_t cs = a.col_split.start(j);
-        const std::int64_t ch = cs + a.col_split.window;
+        const Block b = block_of(a, i, j);
         PlanNode d;
         d.op = PlanOp::D2H;
         d.stream = stream;
         d.array = static_cast<int>(ai);
         d.chunk = tile_counter;
-        d.begin = cs;
-        d.end = ch;
-        d.row_begin = rs;
-        d.row_end = rh;
+        d.row_begin = b.rs;
+        d.row_end = b.rh;
         d.tile_i = i;
         d.tile_j = j;
-        fill_segments_tile(d, a, plan.arrays[ai].ring_rows, plan.arrays[ai].ring_len);
-        d.deps.push_back(kid);
-        d.label = "d2h " + a.name + range_str(rs, rh) + "x" + range_str(cs, ch);
-        tile_d2h.push_back(add_node(std::move(d)));
+        group.push_back(e.drain(std::move(d), b.cs, b.ch, kid));
       }
-      int tail = kid;
-      if (!tile_d2h.empty()) {
-        const int last = tile_d2h.back();
-        plan.nodes[static_cast<std::size_t>(last)].records_event = true;
-        for (int id : tile_d2h) plan.nodes[static_cast<std::size_t>(id)].event_node = last;
-        for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-          const TileArraySpec& a = spec.arrays[ai];
-          if (!is_output(a.map)) continue;
-          AState& as = st[ai];
-          const std::int64_t ring = plan.arrays[ai].ring_len;
-          const std::int64_t cs = a.col_split.start(j);
-          const std::int64_t ch = cs + a.col_split.window;
-          for (std::int64_t c = cs; c < ch; ++c)
-            as.col_drained[static_cast<std::size_t>(c % ring)] = last;
-        }
-        tail = last;
+      e.group(group);
+      for (int id : group) {
+        const PlanNode& d = e.node(id);
+        RingCells& rc = e.cells(d.array);
+        for (std::int64_t c = d.begin; c < d.end; ++c) rc.drained(c, group.back());
       }
-      band_tail[si] = tail;
+      band_tail[si] = group.empty() ? kid : group.back();
     }
 
     // Band end: the next band's barrier waits on each used stream's tail.
@@ -662,6 +894,7 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
     for (std::size_t s = 0; s < ns; ++s)
       if (used[s] && band_tail[s] >= 0) prev_band_tails.push_back(band_tail[s]);
   }
+  e.finish(report);
   return plan;
 }
 

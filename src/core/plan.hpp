@@ -18,11 +18,15 @@
 // Node order is host-enqueue order, every chunk's copies share one recorded
 // event (the node with records_event=true; the others point at it through
 // event_node), and the executor reproduces the original wait deduplication
-// rules. Builders emit the naive schedule (every chunk uploads its full
-// window); the pass pipeline in core/plan_opt.hpp then elides resident halo
-// bytes, coalesces segments, and optionally rebalances streams — at the
-// default opt level the optimized plan matches the legacy hand-issued
-// schedule node for node, so stats and virtual-clock timings are unchanged.
+// rules. Builders emit the final schedule of the spec's opt level directly:
+// one ring-cell tracker per mapped array records which host index each ring
+// slot holds, so at opt_level >= 1 a chunk uploads only the indices of its
+// window that are not resident (the paper's halo reuse, §III-IV), already
+// split into one copy per run between ring wraps; at level 0 nothing counts
+// as resident and every chunk uploads its full window. Handoff-wired arrays
+// move through DeviceHandoff nodes instead of the host at every level. The
+// level-2 passes in core/plan_opt.hpp then rebalance streams and fuse
+// kernels over the built plan.
 #pragma once
 
 #include <atomic>
@@ -40,6 +44,7 @@
 namespace gpupipe::core {
 
 struct TileSpec;
+struct OptReport;
 
 /// Operation type of one plan node.
 enum class PlanOp {
@@ -140,8 +145,8 @@ struct PlanArrayInfo {
   bool pinned = true;          ///< host side pinned (transfer bandwidth)
   /// Inter-job stitching wiring: >= 0 marks the array as flowing through a
   /// device-resident handoff link instead of the host (see spec.hpp's
-  /// ArrayHandoff). The stitch pass rewrites this array's D2H tail
-  /// (handoff_out) or H2D head (!handoff_out) into DeviceHandoff nodes.
+  /// ArrayHandoff). The builder emits this array's D2H tail (handoff_out)
+  /// or H2D head (!handoff_out) as DeviceHandoff nodes.
   int handoff_link = -1;
   bool handoff_out = false;    ///< true: produce side; false: consume side
 };
@@ -233,6 +238,12 @@ struct PipelineBuildState {
   std::vector<std::int64_t> ring_lens;
   std::vector<bool> pinned;
   std::int64_t first_chunk = 0;
+
+  /// The buffers a Pipeline at the spec's own chunk/stream shape would
+  /// allocate: ring lengths from the layout formulas, clamped to the array
+  /// extents like RingBuffer clamps them, and host pinned-ness read from
+  /// `g` (all pinned without a device). `spec` must be valid.
+  static PipelineBuildState predicted(const PipelineSpec& spec, const gpu::Gpu* g = nullptr);
 };
 
 /// Same for PlanBuilder::tiles: the 2-D ring extents per array.
@@ -247,21 +258,29 @@ struct TileBuildState {
 class PlanBuilder {
  public:
   /// Plans iterations [from, to) of `spec` at the given chunk/stream shape,
-  /// against buffers described by `state`.
+  /// against buffers described by `state`, at `spec.opt_level`: halo reuse
+  /// from level 1 and the stitch lowering at every level are part of the
+  /// build; the level-2 passes are optimize_plan's (core/plan_opt.hpp).
+  /// `report`, when given, receives the build's share of the optimization
+  /// report: the naive schedule's volume and node count, and the `stitch`
+  /// and `halo-reuse` entries.
   static ExecutionPlan pipeline(const PipelineSpec& spec, std::int64_t chunk_size,
                                 int num_streams, std::int64_t from, std::int64_t to,
-                                const PipelineBuildState& state);
+                                const PipelineBuildState& state, OptReport* report = nullptr);
 
-  /// Predicted-buffer convenience: plans the full loop of `spec` at its own
-  /// chunk_size/num_streams, with ring lengths derived from the layout
-  /// formulas and hosts assumed pinned (no device needed — used by tools
-  /// and the dry-run autotuner before any allocation exists).
+  /// Predicted-buffer convenience: plans and optimizes the full loop of
+  /// `spec` at its own chunk_size/num_streams against
+  /// PipelineBuildState::predicted (no device needed — used by tools and
+  /// the dry-run autotuner before any allocation exists).
   static ExecutionPlan pipeline(const PipelineSpec& spec);
-  /// Same, but reads host pinned-ness from `g` (still no allocations).
+  /// Same, but reads host pinned-ness from `g` and gates fusion on its
+  /// profile (still no allocations).
   static ExecutionPlan pipeline(const gpu::Gpu& g, const PipelineSpec& spec);
 
-  /// Plans a 2-D tiled region (declared in core/tile_pipeline.hpp).
-  static ExecutionPlan tiles(const TileSpec& spec, const TileBuildState& state);
+  /// Plans a 2-D tiled region (declared in core/tile_pipeline.hpp) at
+  /// `spec.opt_level`, like the 1-D builder.
+  static ExecutionPlan tiles(const TileSpec& spec, const TileBuildState& state,
+                             OptReport* report = nullptr);
 };
 
 /// One shard of a multi-device decomposition: a contiguous slice
@@ -327,8 +346,8 @@ class RingBufferBinding final : public PlanArrayBinding {
   explicit RingBufferBinding(RingBuffer& ring) : ring_(&ring) {}
   int transfer(gpu::Stream& s, const PlanNode& n, bool to_device) override {
     // Segment-driven: optimized nodes may cover less than [begin, end) (the
-    // resident halo was elided) or fuse wrap pieces differently, so the
-    // segments are the authoritative description of what moves.
+    // resident halo was elided), so the segments are the authoritative
+    // description of what moves.
     for (const auto& seg : n.segments) {
       if (to_device)
         ring_->copy_in_run(s, seg.slot, seg.index, seg.count);

@@ -85,24 +85,15 @@ Bytes raw_footprint(const gpu::Gpu& g, const PipelineSpec& spec, std::int64_t ch
 
 /// The uncached full-loop compile: identical construction to the predicted
 /// builder in core/plan.cpp and to Pipeline::build_plan at the same shape
-/// (ring lengths clamped to the array extents exactly like RingBuffer, host
-/// pinned-ness read from the device).
+/// (PipelineBuildState::predicted clamps ring lengths to the array extents
+/// exactly like RingBuffer and reads host pinned-ness from the device).
 PlanCache::Compiled raw_compile(const gpu::Gpu& g, const PipelineSpec& spec) {
   spec.validate();
-  PipelineBuildState state;
-  state.ring_lens.reserve(spec.arrays.size());
-  state.pinned.reserve(spec.arrays.size());
-  for (const auto& a : spec.arrays) {
-    state.ring_lens.push_back(
-        std::min(layout::ring_len_for_spec(a, spec.loop_begin, spec.loop_end,
-                                           spec.chunk_size, spec.num_streams),
-                 a.dims[static_cast<std::size_t>(a.split.dim)]));
-    state.pinned.push_back(g.is_pinned(a.host));
-  }
-  ExecutionPlan plan = PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams,
-                                             spec.loop_begin, spec.loop_end, state);
   PlanCache::Compiled out;
-  out.report = optimize_plan(plan, spec.opt_level, &g.profile());
+  ExecutionPlan plan =
+      PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams, spec.loop_begin,
+                            spec.loop_end, PipelineBuildState::predicted(spec, &g), &out.report);
+  out.report.append(optimize_plan(plan, spec.opt_level, &g.profile()));
   out.plan = std::make_shared<const ExecutionPlan>(std::move(plan));
   return out;
 }

@@ -60,8 +60,8 @@ inline constexpr std::uint32_t kPlanBundleMagic = 0x4e425047u;
 /// v4: PassStats::elapsed_s (wall clock) is no longer persisted, so two
 ///     compiles of the same input write byte-identical records.
 /// v5: optimized kernels wait only on the latest drain of each output slot,
-///     so records of older binaries (more kernel deps) are recomputed
-///     instead of served.
+///     and reports carry no `coalesce` entry, so records of older binaries
+///     (more kernel deps) are recomputed instead of served.
 inline constexpr std::uint32_t kPlanFormatVersion = 5;
 
 /// What one artifact carries. Values are part of the wire format.

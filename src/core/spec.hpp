@@ -160,8 +160,8 @@ struct ShardHalo {
 /// Inter-job handoff wiring of one array (plan stitching, ROADMAP's
 /// "Inter-job plan stitching" item). The scheduler wires a lineage
 /// producer's output array (produce = true) and its consumer's input array
-/// (produce = false): the stitch pass then rewrites the producer's D2H tail
-/// and the consumer's H2D head for that array into DeviceHandoff nodes,
+/// (produce = false): the plan builder then emits the producer's D2H tail
+/// and the consumer's H2D head for that array as DeviceHandoff nodes,
 /// and the DeviceLink the scheduler binds to each pipeline (core/plan.hpp)
 /// moves the bytes through device-resident staging instead of the host.
 struct ArrayHandoff {
@@ -180,9 +180,11 @@ struct PipelineSpec {
   /// Optional device-memory cap; the runtime shrinks chunk_size (and, as a
   /// last resort, num_streams) until the pre-allocated buffers fit.
   std::optional<Bytes> mem_limit;
-  /// Plan optimization level (core/plan_opt.hpp): 0 executes plans exactly
-  /// as built, 1 (default) adds halo-reuse H2D elimination and segment
-  /// coalescing, 2 adds stream rebalancing of transfer nodes.
+  /// Plan optimization level: 0 plans the naive schedule (every chunk
+  /// uploads its full window), 1 (default) has the builder upload only the
+  /// window indices not already resident in the ring (halo reuse), 2 adds
+  /// optimize_plan's stream rebalancing and kernel fusion
+  /// (core/plan_opt.hpp).
   int opt_level = 1;
   /// The split loop's iteration range [loop_begin, loop_end).
   std::int64_t loop_begin = 0;

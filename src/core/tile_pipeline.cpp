@@ -156,8 +156,8 @@ void TilePipeline::run(const TileKernelFactory& make_kernel) {
     state.ring_cols.push_back(a.view.ring_cols);
     state.pinned.push_back(gpu_.is_pinned(a.spec.host));
   }
-  plan_ = PlanBuilder::tiles(spec_, state);
-  opt_report_ = optimize_plan(plan_, spec_.opt_level);
+  plan_ = PlanBuilder::tiles(spec_, state, &opt_report_);
+  opt_report_.append(optimize_plan(plan_, spec_.opt_level));
   if (gpu_.hazards().enabled()) plan_.validate();
   executor_.run(plan_, [this, &make_kernel](const PlanNode& n) {
     const TileContext ctx(*this, n.tile_i, n.tile_j);

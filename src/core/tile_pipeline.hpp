@@ -83,7 +83,9 @@ struct TileSpec {
   int num_streams = 2;
   std::int64_t ni = 0;
   std::int64_t nj = 0;
-  /// Plan optimization level (core/plan_opt.hpp), as in PipelineSpec.
+  /// Plan optimization level, as in PipelineSpec: from 1 the builder skips
+  /// columns still resident within a band; 2 runs optimize_plan's passes,
+  /// which leave band-structured plans as built.
   int opt_level = 1;
   std::vector<TileArraySpec> arrays;
 

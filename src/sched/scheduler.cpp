@@ -574,8 +574,8 @@ void Scheduler::start_job(int id, int dev, const AdmissionDecision& d) {
       a.pipeline->bind_link(static_cast<std::size_t>(h.array), h.produce ? end : nullptr,
                             h.produce ? nullptr : end);
     }
-    // The optimizer's stitch pass measured exactly which host-transfer
-    // bytes the handoff nodes replaced in this job's compiled plan.
+    // The plan builder's stitch lowering measured exactly which
+    // host-transfer bytes the handoff nodes replaced in this job's plan.
     r.stitched_bytes = a.pipeline->opt_report().stitched_bytes;
   }
   a.pipeline->enqueue(jobs_[idx].kernel);

@@ -155,8 +155,9 @@ std::vector<gpu::DeviceProfile> profiles() {
 std::size_t add_pipeline(Digest& d, const PipelineSpec& spec, std::int64_t chunk, int streams,
                          std::int64_t from, std::int64_t to, const PipelineBuildState& state,
                          const gpu::DeviceProfile& profile) {
-  ExecutionPlan plan = PlanBuilder::pipeline(spec, chunk, streams, from, to, state);
-  const OptReport report = optimize_plan(plan, spec.opt_level, &profile);
+  OptReport report;
+  ExecutionPlan plan = PlanBuilder::pipeline(spec, chunk, streams, from, to, state, &report);
+  report.append(optimize_plan(plan, spec.opt_level, &profile));
   EXPECT_NO_THROW(plan.validate()) << "opt " << spec.opt_level << " chunk " << chunk
                                    << " streams " << streams;
   dump(d, plan);
@@ -165,8 +166,9 @@ std::size_t add_pipeline(Digest& d, const PipelineSpec& spec, std::int64_t chunk
 }
 
 std::size_t add_tiles(Digest& d, const TileSpec& spec, const TileBuildState& state) {
-  ExecutionPlan plan = PlanBuilder::tiles(spec, state);
-  const OptReport report = optimize_plan(plan, spec.opt_level);
+  OptReport report;
+  ExecutionPlan plan = PlanBuilder::tiles(spec, state, &report);
+  report.append(optimize_plan(plan, spec.opt_level));
   EXPECT_NO_THROW(plan.validate()) << "tile plan, opt " << spec.opt_level;
   dump(d, plan);
   dump(d, report);

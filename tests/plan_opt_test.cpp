@@ -1,7 +1,8 @@
-// Tests for the plan optimization passes (core/plan_opt.hpp): byte
-// accounting and hazard validity of optimized plans, pass idempotence, the
-// paper-config transfer savings, and opt-vs-no-opt execution equivalence
-// across the four evaluation applications.
+// Tests for plan optimization — halo reuse in the builders and the level-2
+// passes of core/plan_opt.hpp: byte accounting and hazard validity of
+// optimized plans, idempotence, the paper-config transfer savings, kernels
+// depending on the copy of a resident slice, and opt-vs-no-opt execution
+// equivalence across the four evaluation applications.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +44,13 @@ PipelineSpec stencil_like(std::int64_t nz, std::int64_t ny, std::int64_t nx,
   return spec;
 }
 
+/// Builds the full loop of `spec` at its own level, reporting what the
+/// build saved against the naive schedule.
+ExecutionPlan build(const PipelineSpec& spec, OptReport* report) {
+  return PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams, spec.loop_begin,
+                               spec.loop_end, PipelineBuildState::predicted(spec), report);
+}
+
 Bytes h2d_bytes(const ExecutionPlan& plan) {
   Bytes total = 0;
   for (const auto& n : plan.nodes)
@@ -72,6 +80,36 @@ TEST(PlanOpt, NaivePlanUploadsFullWindowsAndHaloReuseElidesThem) {
   EXPECT_LT(opt.nodes.size(), naive.nodes.size());
 }
 
+TEST(PlanOpt, KernelsDependOnTheCopyOfEachResidentSlice) {
+  // With halo reuse a chunk's window is partly landed by earlier chunks'
+  // uploads: its kernel must wait on whichever copy landed each index.
+  const ExecutionPlan plan = PlanBuilder::pipeline(stencil_like(20, 4, 3, 2, 3, 1));
+  int earlier = 0;
+  for (const PlanNode& k : plan.nodes) {
+    if (k.op != PlanOp::Kernel) continue;
+    for (const PlanAccess& acc : k.accesses) {
+      if (acc.write) continue;
+      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx) {
+        // The latest upload before the kernel whose pieces cover idx.
+        int landed = -1;
+        for (const PlanNode& h : plan.nodes) {
+          if (h.id >= k.id) break;
+          if (h.op != PlanOp::H2D || h.array != acc.array) continue;
+          for (const PlanSegment& seg : h.segments)
+            if (seg.index <= idx && idx < seg.index + seg.count) landed = h.id;
+        }
+        ASSERT_GE(landed, 0) << k.label << " reads " << idx << " that nothing uploaded";
+        EXPECT_NE(std::find(k.deps.begin(), k.deps.end(), landed), k.deps.end())
+            << k.label << " does not wait on "
+            << plan.nodes[static_cast<std::size_t>(landed)].label;
+        if (plan.nodes[static_cast<std::size_t>(landed)].chunk != k.chunk) ++earlier;
+      }
+    }
+  }
+  EXPECT_GT(earlier, 0) << "no kernel read a slice an earlier chunk uploaded";
+  EXPECT_NO_THROW(plan.validate());
+}
+
 class PlanOptSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(PlanOptSweep, OptimizedPlansValidateAndNeverMoveMoreBytes) {
@@ -94,9 +132,8 @@ INSTANTIATE_TEST_SUITE_P(ChunkStream, PlanOptSweep,
 
 TEST(PlanOpt, Fig4StencilConfigSavesAtLeastTwentyPercent) {
   // The paper's Fig. 4 stencil shape: 256 x 256 x 64 grid, chunk_size 4.
-  PipelineSpec spec = stencil_like(64, 256, 256, 4, 3, 0);
-  ExecutionPlan plan = PlanBuilder::pipeline(spec);
-  const OptReport report = optimize_plan(plan, 1);
+  OptReport report;
+  const ExecutionPlan plan = build(stencil_like(64, 256, 256, 4, 3, 1), &report);
   EXPECT_NO_THROW(plan.validate());
   EXPECT_GT(report.h2d_bytes_before, 0);
   // h2d_after <= 0.8 * h2d_before, in integer arithmetic.
@@ -106,20 +143,19 @@ TEST(PlanOpt, Fig4StencilConfigSavesAtLeastTwentyPercent) {
 TEST(PlanOpt, Fig7Conv3dConfigSavesAtLeastTwentyPercent) {
   // The paper's Fig. 7 convolution shape: 256^3 volume, chunk_size 1 (the
   // stream sweep's chunk), window-3 input like the stencil.
-  PipelineSpec spec = stencil_like(256, 256, 256, 1, 4, 0);
-  ExecutionPlan plan = PlanBuilder::pipeline(spec);
-  const OptReport report = optimize_plan(plan, 1);
+  OptReport report;
+  const ExecutionPlan plan = build(stencil_like(256, 256, 256, 1, 4, 1), &report);
   EXPECT_NO_THROW(plan.validate());
   EXPECT_LE(report.h2d_bytes_after * 5, report.h2d_bytes_before * 4);
 }
 
 TEST(PlanOpt, ReportAccountingIsConsistent) {
-  ExecutionPlan plan = PlanBuilder::pipeline(stencil_like(20, 6, 5, 2, 2, 0));
-  const std::int64_t naive_nodes = static_cast<std::int64_t>(plan.nodes.size());
-  const OptReport report = optimize_plan(plan, 1);
-  ASSERT_EQ(report.passes.size(), 2u);
+  const std::int64_t naive_nodes =
+      static_cast<std::int64_t>(build(stencil_like(20, 6, 5, 2, 2, 0), nullptr).nodes.size());
+  OptReport report;
+  const ExecutionPlan plan = build(stencil_like(20, 6, 5, 2, 2, 1), &report);
+  ASSERT_EQ(report.passes.size(), 1u);
   EXPECT_EQ(report.passes[0].pass, "halo-reuse");
-  EXPECT_EQ(report.passes[1].pass, "coalesce");
   Bytes saved = 0;
   for (const auto& p : report.passes) {
     Bytes by_array = 0;
@@ -135,17 +171,20 @@ TEST(PlanOpt, ReportAccountingIsConsistent) {
 }
 
 TEST(PlanOpt, OptimizerIsIdempotent) {
-  ExecutionPlan plan = PlanBuilder::pipeline(stencil_like(16, 4, 4, 2, 2, 0));
-  optimize_plan(plan, 1);
-  const Bytes h2d = h2d_bytes(plan);
-  const std::size_t nodes = plan.nodes.size();
-  const OptReport again = optimize_plan(plan, 1);
-  EXPECT_EQ(h2d_bytes(plan), h2d);
-  EXPECT_EQ(plan.nodes.size(), nodes);
-  EXPECT_EQ(again.h2d_bytes_before, again.h2d_bytes_after);
-  for (const auto& p : again.passes) {
-    EXPECT_EQ(p.nodes_removed, 0) << p.pass;
-    EXPECT_EQ(p.bytes_saved, 0) << p.pass;
+  // Re-optimizing an optimized plan, at its own level, changes nothing.
+  for (int opt = 1; opt <= 2; ++opt) {
+    ExecutionPlan plan = PlanBuilder::pipeline(stencil_like(16, 4, 4, 2, 2, opt));
+    const Bytes h2d = h2d_bytes(plan);
+    const std::size_t nodes = plan.nodes.size();
+    const OptReport again = optimize_plan(plan, opt);
+    EXPECT_EQ(h2d_bytes(plan), h2d) << "opt " << opt;
+    EXPECT_EQ(plan.nodes.size(), nodes) << "opt " << opt;
+    EXPECT_EQ(again.h2d_bytes_before, again.h2d_bytes_after);
+    EXPECT_EQ(again.fused_kernels, 0);
+    for (const auto& p : again.passes) {
+      EXPECT_EQ(p.nodes_removed, 0) << p.pass;
+      EXPECT_EQ(p.bytes_saved, 0) << p.pass;
+    }
   }
 }
 
@@ -156,11 +195,11 @@ TEST(PlanOpt, RejectsUnknownOptLevels) {
 }
 
 TEST(PlanOpt, SingleChunkLoopIsUnchanged) {
-  // One chunk covers the whole loop: nothing is resident beforehand, so the
-  // passes find nothing to elide.
-  ExecutionPlan plan = PlanBuilder::pipeline(stencil_like(6, 4, 4, 8, 2, 0));
-  const Bytes before = h2d_bytes(plan);
-  const OptReport report = optimize_plan(plan, 1);
+  // One chunk covers the whole loop: nothing is resident beforehand, so
+  // halo reuse finds nothing to elide.
+  const Bytes before = h2d_bytes(build(stencil_like(6, 4, 4, 8, 2, 0), nullptr));
+  OptReport report;
+  const ExecutionPlan plan = build(stencil_like(6, 4, 4, 8, 2, 1), &report);
   EXPECT_NO_THROW(plan.validate());
   EXPECT_EQ(h2d_bytes(plan), before);
   EXPECT_EQ(report.nodes_before, report.nodes_after);

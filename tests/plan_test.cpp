@@ -346,8 +346,7 @@ TEST(PlanDryRunMakespanOnly, MatchesTracedOnPaperShapes) {
   for (int opt : {0, 1}) {
     for (const PipelineSpec& spec : {grid_spec(64, 256 * 256, 3, 4, 3, opt),
                                      grid_spec(256, 256 * 256, 3, 1, 4, opt)}) {
-      ExecutionPlan plan = PlanBuilder::pipeline(spec);
-      if (opt > 0) optimize_plan(plan, opt);
+      const ExecutionPlan plan = PlanBuilder::pipeline(spec);
       for (const gpu::DeviceProfile& profile : dry_run_profiles()) {
         expect_makespan_only_matches(plan, profile, {});
         expect_makespan_only_matches(plan, profile,
@@ -378,7 +377,7 @@ TEST(PlanDryRunMakespanOnly, MatchesTracedOnShardedStitchedAndFusedPlans) {
 
   // Opt level 2 without a profile fuses adjacent launches of an output-only
   // region planned against a full-length ring.
-  PipelineSpec sink = grid_spec(16, 4096, 1, 2, 1, 0);
+  PipelineSpec sink = grid_spec(16, 4096, 1, 2, 1, 2);
   sink.arrays = {sink.arrays[1]};
   PipelineBuildState state;
   state.ring_lens = {16};

@@ -1,5 +1,5 @@
-// Tests for inter-job plan stitching and kernel fusion: the stitch lowering
-// (D2H tail / H2D head -> DeviceHandoff), the fusion pass and its hazard
+// Tests for inter-job plan stitching and kernel fusion: the builder's stitch
+// lowering (D2H tail / H2D head -> DeviceHandoff), the fusion pass and its hazard
 // guard, fingerprint sensitivity to lineage wiring, serialization of
 // stitched plans, and the scheduler's end-to-end handoff runtime including
 // the cross-device fallback.
@@ -63,16 +63,23 @@ TEST(StitchSpec, ValidationRejectsMisdirectedHandoffs) {
   EXPECT_NO_THROW(spec.validate());
 }
 
+/// Builds the full loop of `spec` at its own level with the build's report.
+core::ExecutionPlan build(const core::PipelineSpec& spec, core::OptReport* report) {
+  return core::PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams, spec.loop_begin,
+                                     spec.loop_end, core::PipelineBuildState::predicted(spec),
+                                     report);
+}
+
 TEST(StitchPass, RewritesProducerTailIntoDeviceHandoffs) {
   core::PipelineSpec spec = pointwise_spec(8, 4, 2, 2);
-  core::ExecutionPlan plan = core::PlanBuilder::pipeline(spec);
-  const std::int64_t d2h_nodes = count_op(plan, core::PlanOp::D2H);
-  const Bytes d2h_before = plan.transfer_bytes(core::PlanOp::D2H);
+  const core::ExecutionPlan plain = core::PlanBuilder::pipeline(spec);
+  const std::int64_t d2h_nodes = count_op(plain, core::PlanOp::D2H);
+  const Bytes d2h_before = plain.transfer_bytes(core::PlanOp::D2H);
   ASSERT_GT(d2h_nodes, 0);
 
-  plan.arrays[1].handoff_link = 0;
-  plan.arrays[1].handoff_out = true;
-  const core::OptReport report = core::optimize_plan(plan, 0);
+  spec.handoffs = {{1, 0, true}};
+  core::OptReport report;
+  core::ExecutionPlan plan = build(spec, &report);
   ASSERT_EQ(report.passes.size(), 1u);
   EXPECT_EQ(report.passes[0].pass, "stitch");
   EXPECT_EQ(report.passes[0].nodes_changed, d2h_nodes);
@@ -86,21 +93,24 @@ TEST(StitchPass, RewritesProducerTailIntoDeviceHandoffs) {
   }
   EXPECT_NO_THROW(plan.validate());
 
-  // Idempotent: nothing left to rewrite on a second run.
+  // Idempotent: optimizing the stitched plan rewrites nothing further.
   const core::OptReport again = core::optimize_plan(plan, 0);
   EXPECT_EQ(again.stitched_bytes, 0);
+  EXPECT_EQ(count_op(plan, core::PlanOp::DeviceHandoff), d2h_nodes);
 }
 
 TEST(StitchPass, RewritesConsumerHeadAndLeavesUploadBytesAccounted) {
   core::PipelineSpec spec = pointwise_spec(8, 4, 2, 2);
-  core::ExecutionPlan plan = core::PlanBuilder::pipeline(spec);
-  const std::int64_t h2d_nodes = count_op(plan, core::PlanOp::H2D);
-  const Bytes h2d_before = plan.transfer_bytes(core::PlanOp::H2D);
+  const core::ExecutionPlan plain = core::PlanBuilder::pipeline(spec);
+  const std::int64_t h2d_nodes = count_op(plain, core::PlanOp::H2D);
+  const Bytes h2d_before = plain.transfer_bytes(core::PlanOp::H2D);
 
-  plan.arrays[0].handoff_link = 3;
-  plan.arrays[0].handoff_out = false;
-  const core::OptReport report = core::optimize_plan(plan, 0);
+  spec.handoffs = {{0, 3, false}};
+  core::OptReport report;
+  const core::ExecutionPlan plan = build(spec, &report);
   EXPECT_EQ(report.stitched_bytes, h2d_before);
+  EXPECT_EQ(report.h2d_bytes_before, h2d_before);
+  EXPECT_EQ(report.h2d_bytes_after, 0);
   EXPECT_EQ(count_op(plan, core::PlanOp::H2D), 0);
   EXPECT_EQ(count_op(plan, core::PlanOp::DeviceHandoff), h2d_nodes);
   for (const auto& n : plan.nodes) {
@@ -130,7 +140,7 @@ core::ExecutionPlan sink_plan(std::int64_t n, std::int64_t m, std::int64_t chunk
   core::PipelineSpec spec;
   spec.chunk_size = chunk;
   spec.num_streams = 1;
-  spec.opt_level = 0;
+  spec.opt_level = 2;
   spec.loop_begin = 0;
   spec.loop_end = n;
   spec.arrays = {

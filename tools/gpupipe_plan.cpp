@@ -427,15 +427,16 @@ int main(int argc, char** argv) {
       spec = slices[static_cast<std::size_t>(shard_index)].spec;
     }
 
-    // Build naive, then optimize explicitly so the pass statistics are
-    // available for the summary.
-    gpupipe::core::PipelineSpec naive = spec;
-    naive.opt_level = 0;
-    gpupipe::core::ExecutionPlan plan = gpupipe::core::PlanBuilder::pipeline(naive);
+    // Build at the spec's level and run the level-2 passes explicitly, so
+    // the report of both is available for the summary.
+    spec.validate();
+    gpupipe::core::OptReport report;
+    gpupipe::core::ExecutionPlan plan = gpupipe::core::PlanBuilder::pipeline(
+        spec, spec.chunk_size, spec.num_streams, spec.loop_begin, spec.loop_end,
+        gpupipe::core::PipelineBuildState::predicted(spec), &report);
     // The profile lets level >=2 arbitrate kernel fusion with a dry-run cost
     // comparison instead of fusing unconditionally.
-    const gpupipe::core::OptReport report =
-        gpupipe::core::optimize_plan(plan, spec.opt_level, &profile);
+    report.append(gpupipe::core::optimize_plan(plan, spec.opt_level, &profile));
 
     std::ofstream out_file;
     if (!output_path.empty()) {
