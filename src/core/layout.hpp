@@ -65,7 +65,9 @@ constexpr std::int64_t ring_len_affine(std::int64_t scale, std::int64_t window,
 /// e.g. after mem-limit shrinking or an empty partition_weighted slice).
 inline std::pair<std::int64_t, std::int64_t> window_of(const ArraySpec& a, std::int64_t lo,
                                                        std::int64_t hi) {
-  require(lo < hi, "array '" + a.name + "': chunk iteration range is empty");
+  // Called per chunk and array while planning: the message is only built
+  // when the check fails.
+  if (lo >= hi) require(false, "array '" + a.name + "': chunk iteration range is empty");
   return {a.split.range_of(lo).first, a.split.range_of(hi - 1).second};
 }
 
@@ -74,15 +76,16 @@ inline std::pair<std::int64_t, std::int64_t> window_of(const ArraySpec& a, std::
 /// validates monotonicity and output disjointness).
 inline std::int64_t ring_len_for_spec(const ArraySpec& a, std::int64_t loop_begin,
                                       std::int64_t loop_end, std::int64_t c, int s) {
-  require(loop_begin < loop_end, "array '" + a.name + "': pipeline loop range is empty");
+  if (loop_begin >= loop_end)
+    require(false, "array '" + a.name + "': pipeline loop range is empty");
   if (!a.split.window_fn) {
     // Callers clamp the returned length to the array extent; a window that
     // steps outside the array would then wrap a chunk onto itself (the
     // for_ring_segments overlap this guard exists to prevent).
     const auto first = a.split.range_of(loop_begin);
     const auto last = a.split.range_of(loop_end - 1);
-    require(0 <= first.first && last.second <= a.dims[static_cast<std::size_t>(a.split.dim)],
-            "array '" + a.name + "': split window touches indices outside the array");
+    if (first.first < 0 || last.second > a.dims[static_cast<std::size_t>(a.split.dim)])
+      require(false, "array '" + a.name + "': split window touches indices outside the array");
     return ring_len_affine(a.split.start.scale, a.split.window, c, s);
   }
   // Scan the loop once per configuration: every group of `s` consecutive

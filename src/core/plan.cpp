@@ -326,9 +326,11 @@ class PlanEmitter {
     for (int id : ids) node(id).event_node = ids.back();
   }
 
-  /// The build's share of the optimization report: the naive schedule's
-  /// volume and node count, the stitch lowering, and halo reuse.
-  void finish(OptReport* report) const {
+  /// Ends the build: trims the node list (plans live on in the plan cache)
+  /// and fills the build's share of the optimization report — the naive
+  /// schedule's volume and node count, the stitch lowering, and halo reuse.
+  void finish(OptReport* report) {
+    plan_.nodes.shrink_to_fit();
     if (report == nullptr) return;
     *report = OptReport{};
     report->h2d_bytes_before = h2d_before_;
@@ -512,8 +514,6 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
     else
       shapes.push_back({a.elem_size, static_cast<Bytes>(a.dims[0]), false});
   }
-  const std::int64_t chunks = (to - from + chunk_size - 1) / chunk_size;
-  plan.nodes.reserve(static_cast<std::size_t>(chunks) * (2 * spec.arrays.size() + 1));
   PlanEmitter e(plan, std::move(shapes), spec.opt_level);
 
   // Shard halo wiring (empty for solo regions): which arrays receive part of
@@ -939,13 +939,13 @@ std::pair<std::int64_t, int> solve_pipeline_memory(const gpu::Gpu& g, const Pipe
 // --- Static validation ---
 
 void ExecutionPlan::validate() const {
-  std::vector<gpu::StaticOp> ops;
-  ops.reserve(nodes.size());
-  for (const PlanNode& n : nodes) {
-    gpu::StaticOp op;
-    op.queue = n.stream;
-    op.deps = n.deps;
-    op.label = n.label.empty() ? std::string(to_string(n.op)) : n.label;
+  // Slot accesses of every node in one flat table; each op refers to its
+  // slice of it, and to its node's deps and label.
+  std::vector<gpu::StaticOp::Access> accesses;
+  std::vector<std::size_t> first(nodes.size() + 1, 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PlanNode& n = nodes[i];
+    first[i] = accesses.size();
     // Transfers touch exactly their wrap segments; kernel accesses are
     // wrap-decomposed the same way. Slot space is (buffer row, ring slot)
     // flattened as row * ring_len + slot.
@@ -953,8 +953,7 @@ void ExecutionPlan::validate() const {
       const std::int64_t ring = arrays[static_cast<std::size_t>(n.array)].ring_len;
       for (const PlanSegment& seg : n.segments)
         for (std::int64_t r = seg.row_slot; r < seg.row_slot + seg.rows; ++r)
-          op.accesses.push_back(
-              {n.array, r * ring + seg.slot, r * ring + seg.slot + seg.count, write});
+          accesses.push_back({n.array, r * ring + seg.slot, r * ring + seg.slot + seg.count, write});
     };
     switch (n.op) {
       case PlanOp::H2D:
@@ -975,8 +974,8 @@ void ExecutionPlan::validate() const {
                 acc.lo, acc.hi, info.ring_len,
                 [&](std::int64_t slot, std::int64_t, std::int64_t count) {
                   for (std::int64_t rr = slot_r; rr < slot_r + nr; ++rr)
-                    op.accesses.push_back({acc.array, rr * info.ring_len + slot,
-                                           rr * info.ring_len + slot + count, acc.write});
+                    accesses.push_back({acc.array, rr * info.ring_len + slot,
+                                        rr * info.ring_len + slot + count, acc.write});
                 });
             r += nr;
           }
@@ -1002,7 +1001,16 @@ void ExecutionPlan::validate() const {
       case PlanOp::Barrier:
         break;  // ordering-only nodes
     }
-    ops.push_back(std::move(op));
+  }
+  first[nodes.size()] = accesses.size();
+
+  std::vector<gpu::StaticOp> ops(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PlanNode& n = nodes[i];
+    ops[i].queue = n.stream;
+    ops[i].deps = n.deps;
+    ops[i].accesses = std::span(accesses).subspan(first[i], first[i + 1] - first[i]);
+    ops[i].label = n.label.empty() ? std::string_view(to_string(n.op)) : n.label;
   }
   gpu::validate_static_schedule(ops, num_streams);
 }

@@ -45,8 +45,23 @@ bool ranges_overlap(const MemRange& a, const MemRange& b) {
   if (a.ptr + a.span() <= b.ptr || b.ptr + b.span() <= a.ptr) return false;
   if (a.rows <= 1) return contiguous_vs_strided(a.ptr, a.ptr + a.size, b);
   if (b.rows <= 1) return contiguous_vs_strided(b.ptr, b.ptr + b.size, a);
-  // Both strided: test each segment of the shorter one (exact; test-scale
-  // shapes keep this cheap, and benches disable hazard tracking).
+  if (a.stride == b.stride && a.stride > 0) {
+    // One stride S: segment i of `a` and segment j of `b` overlap iff
+    // -b.size < d + (j - i) * S < a.size, with d = b.ptr - a.ptr. The
+    // smallest k = j - i in [-(a.rows - 1), b.rows - 1] that clears the
+    // lower bound is the only candidate for the upper one.
+    const auto stride = static_cast<std::intptr_t>(a.stride);
+    const std::intptr_t d =
+        reinterpret_cast<std::intptr_t>(b.ptr) - reinterpret_cast<std::intptr_t>(a.ptr);
+    const std::intptr_t low = -static_cast<std::intptr_t>(b.size) - d;
+    std::intptr_t k = low / stride + 1;
+    if (low % stride < 0) --k;  // floor division for a negative bound
+    k = std::max(k, 1 - static_cast<std::intptr_t>(a.rows));
+    return k <= static_cast<std::intptr_t>(b.rows) - 1 &&
+           d + k * stride < static_cast<std::intptr_t>(a.size);
+  }
+  // Unequal strides: test each segment of the shorter one (exact; mixed
+  // strides are rare, and benches disable hazard tracking).
   const MemRange& outer = a.rows <= b.rows ? a : b;
   const MemRange& inner = a.rows <= b.rows ? b : a;
   for (Bytes r = 0; r < outer.rows; ++r) {
@@ -59,23 +74,24 @@ bool ranges_overlap(const MemRange& a, const MemRange& b) {
 void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues) {
   require(num_queues >= 1, "static schedule needs at least one queue");
   const int n = static_cast<int>(ops.size());
+  const auto nq = static_cast<std::size_t>(num_queues);
+  auto malformed = [](const StaticOp& op, const char* what) {
+    require(false, "static op '" + std::string(op.label) + "': " + what);
+  };
 
-  // Happens-before as per-queue ancestor frontiers: frontier[b][q] is the
-  // largest list position on queue q that strictly precedes op b. Because a
-  // queue's ops are totally ordered, "a precedes b" is exactly
-  // pos(a) <= frontier[b][queue(a)]. Frontiers compose incrementally from
-  // the previous op on b's queue and b's explicit deps.
-  std::vector<std::vector<int>> frontier(static_cast<std::size_t>(n),
-                                         std::vector<int>(static_cast<std::size_t>(num_queues), -1));
-  std::vector<int> queue_tail(static_cast<std::size_t>(num_queues), -1);
+  // Happens-before as per-queue ancestor frontiers: row b of `frontier`
+  // holds, per queue q, the largest list position on q that strictly
+  // precedes op b. Because a queue's ops are totally ordered, "a precedes b"
+  // is exactly pos(a) <= frontier[b][queue(a)]. Frontiers compose
+  // incrementally from the previous op on b's queue and b's explicit deps.
+  std::vector<int> frontier(static_cast<std::size_t>(n) * nq, -1);
+  std::vector<int> queue_tail(nq, -1);
 
-  auto merge_from = [&](std::vector<int>& dst, int src) {
-    const auto& f = frontier[static_cast<std::size_t>(src)];
-    for (int q = 0; q < num_queues; ++q)
-      dst[static_cast<std::size_t>(q)] = std::max(dst[static_cast<std::size_t>(q)],
-                                                  f[static_cast<std::size_t>(q)]);
-    const int sq = ops[static_cast<std::size_t>(src)].queue;
-    dst[static_cast<std::size_t>(sq)] = std::max(dst[static_cast<std::size_t>(sq)], src);
+  auto merge_from = [&](int* dst, int src) {
+    const int* f = frontier.data() + static_cast<std::size_t>(src) * nq;
+    for (std::size_t q = 0; q < nq; ++q) dst[q] = std::max(dst[q], f[q]);
+    const auto sq = static_cast<std::size_t>(ops[static_cast<std::size_t>(src)].queue);
+    dst[sq] = std::max(dst[sq], src);
   };
 
   // Per (resource, slot): the last writer and the readers since that write.
@@ -87,31 +103,28 @@ void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues) 
 
   for (int i = 0; i < n; ++i) {
     const StaticOp& op = ops[static_cast<std::size_t>(i)];
-    require(0 <= op.queue && op.queue < num_queues,
-            "static op '" + op.label + "': queue out of range");
-    auto& f = frontier[static_cast<std::size_t>(i)];
+    if (op.queue < 0 || op.queue >= num_queues) malformed(op, "queue out of range");
+    int* f = frontier.data() + static_cast<std::size_t>(i) * nq;
     if (queue_tail[static_cast<std::size_t>(op.queue)] >= 0)
       merge_from(f, queue_tail[static_cast<std::size_t>(op.queue)]);
     for (int d : op.deps) {
-      require(0 <= d && d < i, "static op '" + op.label + "': dep must index an earlier op");
+      if (d < 0 || d >= i) malformed(op, "dep must index an earlier op");
       merge_from(f, d);
     }
     queue_tail[static_cast<std::size_t>(op.queue)] = i;
 
     auto ordered_before = [&](int a) {
-      const int aq = ops[static_cast<std::size_t>(a)].queue;
-      return a <= f[static_cast<std::size_t>(aq)];
+      return a <= f[static_cast<std::size_t>(ops[static_cast<std::size_t>(a)].queue)];
     };
     auto conflict = [&](int prior, const char* kind) {
       const StaticOp& p = ops[static_cast<std::size_t>(prior)];
-      throw HazardError("static " + std::string(kind) + " hazard: '" + op.label +
-                        "' conflicts with '" + p.label +
+      throw HazardError("static " + std::string(kind) + " hazard: '" + std::string(op.label) +
+                        "' conflicts with '" + std::string(p.label) +
                         "' without an ordering dependency between them");
     };
 
     for (const auto& acc : op.accesses) {
-      require(acc.resource >= 0 && acc.lo <= acc.hi,
-              "static op '" + op.label + "': malformed access");
+      if (acc.resource < 0 || acc.lo > acc.hi) malformed(op, "malformed access");
       if (static_cast<std::size_t>(acc.resource) >= slots.size())
         slots.resize(static_cast<std::size_t>(acc.resource) + 1);
       auto& res = slots[static_cast<std::size_t>(acc.resource)];

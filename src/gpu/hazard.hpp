@@ -21,7 +21,9 @@
 // that manifest in the simulated schedule, not all latent ones.
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -75,10 +77,13 @@ bool ranges_overlap(const MemRange& a, const MemRange& b);
 /// One operation of a static schedule submitted for validation *before*
 /// execution (see validate_static_schedule). Operations are listed in issue
 /// order; ops sharing a queue execute in list order, and `deps` index
-/// earlier list entries the op explicitly waits on.
+/// earlier list entries the op explicitly waits on. An op refers to its
+/// deps, accesses and label instead of owning them: the caller keeps them
+/// alive for the validation call (ExecutionPlan::validate points them into
+/// its nodes and one flat access table).
 struct StaticOp {
   int queue = 0;
-  std::vector<int> deps;
+  std::span<const int> deps;
   /// One access in an abstract resource's slot space (e.g. a ring buffer's
   /// slot indices): the op touches slots [lo, hi) of `resource`.
   struct Access {
@@ -87,8 +92,8 @@ struct StaticOp {
     std::int64_t hi = 0;
     bool write = false;
   };
-  std::vector<Access> accesses;
-  std::string label;
+  std::span<const Access> accesses;
+  std::string_view label;
 };
 
 /// Static (pre-execution) schedule validation: proves that every pair of
@@ -100,8 +105,9 @@ struct StaticOp {
 /// sees races that manifest in one particular simulated timing).
 ///
 /// Cost: O(ops * queues) for the happens-before closure (per-queue ancestor
-/// frontiers — exact because each queue is totally ordered) plus O(total
-/// slots touched) for the conflict scan.
+/// frontiers in one flat ops x queues table — exact because each queue is
+/// totally ordered) plus O(total slots touched) for the conflict scan.
+/// Messages, labels included, are formatted only when it throws.
 void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues);
 
 /// Tracks in-flight accesses and validates new ones against them.

@@ -1,6 +1,8 @@
 // Unit and failure-injection tests for the hazard tracker.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "gpu/device_profile.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/hazard.hpp"
@@ -38,6 +40,48 @@ TEST(RangesOverlap, StridedVsStrided) {
   EXPECT_TRUE(ranges_overlap(a, MemRange{at(104), 8, 32, 4}));
   // Different stride eventually collides: rows at 116, 140, 164...
   EXPECT_TRUE(ranges_overlap(a, MemRange{at(116), 8, 24, 4}));
+}
+
+/// Row-by-row reference: some segment of `a` intersects some segment of `b`.
+bool overlap_by_rows(const MemRange& a, const MemRange& b) {
+  if (a.size == 0 || b.size == 0) return false;
+  for (Bytes i = 0; i < a.rows; ++i)
+    for (Bytes j = 0; j < b.rows; ++j) {
+      const std::byte* alo = a.ptr + i * a.stride;
+      const std::byte* blo = b.ptr + j * b.stride;
+      if (alo < blo + b.size && blo < alo + a.size) return true;
+    }
+  return false;
+}
+
+TEST(RangesOverlap, StridedPairsMatchTheRowByRowReference) {
+  // Equal strides take a closed form; unequal ones walk rows. Both must
+  // agree with comparing every pair of segments: offsets on either side,
+  // sizes up to and beyond the stride, 1-64 rows.
+  std::mt19937_64 rng(1234);
+  auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+  };
+  int equal = 0, overlapping = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Bytes stride = pick(1, 48);
+    const MemRange a{at(1 << 20), pick(1, 2 * stride + 2), stride, pick(1, 64)};
+    const bool same = pick(0, 3) != 0;
+    const Bytes b_stride = same ? stride : pick(1, 48);
+    const std::uint64_t reach = a.span() + 64;
+    const MemRange b{at((1 << 20) + pick(0, 2 * reach) - reach), pick(1, 2 * b_stride + 2),
+                     b_stride, pick(1, 64)};
+    const bool expected = overlap_by_rows(a, b);
+    ASSERT_EQ(ranges_overlap(a, b), expected)
+        << "a: size " << a.size << " stride " << a.stride << " rows " << a.rows << "; b: +"
+        << (b.ptr - a.ptr) << " size " << b.size << " stride " << b.stride << " rows " << b.rows;
+    ASSERT_EQ(ranges_overlap(b, a), expected);
+    equal += a.stride == b.stride;
+    overlapping += expected;
+  }
+  EXPECT_GT(equal, 10000);
+  EXPECT_GT(overlapping, 2000);
+  EXPECT_LT(overlapping, 18000);
 }
 
 TEST(HazardTracker, DetectsReadAfterWrite) {

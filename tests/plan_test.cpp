@@ -203,6 +203,21 @@ TEST(PlanValidate, RejectsAPlanWithADeletedSlotReuseEdge) {
   EXPECT_THROW(tampered.validate(), gpu::HazardError);
 }
 
+TEST(PlanValidate, NamesBothOpsOfTheUnorderedPair) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  Pipeline p(g, halo_spec(g));
+  ExecutionPlan tampered = p.execution_plan();
+  ASSERT_TRUE(delete_cross_stream_slot_reuse(tampered));
+  try {
+    tampered.validate();
+    FAIL() << "the tampered plan validated";
+  } catch (const gpu::HazardError& e) {
+    EXPECT_STREQ(e.what(),
+                 "static write-after-read hazard: 'h2d in[8,10)' conflicts with 'chunk0' "
+                 "without an ordering dependency between them");
+  }
+}
+
 TEST(PlanValidateOnce, HazardousPlanFailsEveryCall) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   Pipeline p(g, halo_spec(g));
