@@ -250,7 +250,8 @@ Sweep sweep(gpu::Gpu& g, const core::PipelineSpec& spec, const core::KernelFacto
     // (all-miss) cache work — the comparison isolates the worker pool.
     topt.tune_jobs = 1;
     cache.clear();
-    s.serial_s = std::min(s.serial_s, wall([&] { serial = core::autotune(g, spec, kernel, topt); }));
+    s.serial_s =
+        std::min(s.serial_s, wall([&] { serial = core::autotune(g, spec, kernel, topt); }));
     topt.tune_jobs = 0;  // one worker per hardware thread
     cache.clear();
     s.parallel_s =

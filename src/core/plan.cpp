@@ -385,7 +385,8 @@ class PlanEmitter {
   int guard(const PlanNode& proto, RingCells& rc) {
     std::vector<int> deps;
     for (const IndexRun& run : runs_)
-      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx) rc.guard(idx, deps);
+      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx)
+        rc.guard(idx, deps);
     if (deps.empty()) return -1;
     PlanNode sr;
     sr.op = PlanOp::SlotReuse;
@@ -953,7 +954,8 @@ void ExecutionPlan::validate() const {
       const std::int64_t ring = arrays[static_cast<std::size_t>(n.array)].ring_len;
       for (const PlanSegment& seg : n.segments)
         for (std::int64_t r = seg.row_slot; r < seg.row_slot + seg.rows; ++r)
-          accesses.push_back({n.array, r * ring + seg.slot, r * ring + seg.slot + seg.count, write});
+          accesses.push_back(
+              {n.array, r * ring + seg.slot, r * ring + seg.slot + seg.count, write});
     };
     switch (n.op) {
       case PlanOp::H2D:

@@ -90,9 +90,9 @@ Bytes raw_footprint(const gpu::Gpu& g, const PipelineSpec& spec, std::int64_t ch
 PlanCache::Compiled raw_compile(const gpu::Gpu& g, const PipelineSpec& spec) {
   spec.validate();
   PlanCache::Compiled out;
-  ExecutionPlan plan =
-      PlanBuilder::pipeline(spec, spec.chunk_size, spec.num_streams, spec.loop_begin,
-                            spec.loop_end, PipelineBuildState::predicted(spec, &g), &out.report);
+  ExecutionPlan plan = PlanBuilder::pipeline(
+      spec, spec.chunk_size, spec.num_streams, spec.loop_begin, spec.loop_end,
+      PipelineBuildState::predicted(spec, &g), &out.report);
   out.report.append(optimize_plan(plan, spec.opt_level, &g.profile()));
   out.plan = std::make_shared<const ExecutionPlan>(std::move(plan));
   return out;

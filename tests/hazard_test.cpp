@@ -73,8 +73,9 @@ TEST(RangesOverlap, StridedPairsMatchTheRowByRowReference) {
                      b_stride, pick(1, 64)};
     const bool expected = overlap_by_rows(a, b);
     ASSERT_EQ(ranges_overlap(a, b), expected)
-        << "a: size " << a.size << " stride " << a.stride << " rows " << a.rows << "; b: +"
-        << (b.ptr - a.ptr) << " size " << b.size << " stride " << b.stride << " rows " << b.rows;
+        << "a: size " << a.size << " stride " << a.stride << " rows " << a.rows
+        << "; b: +" << (b.ptr - a.ptr) << " size " << b.size << " stride " << b.stride
+        << " rows " << b.rows;
     ASSERT_EQ(ranges_overlap(b, a), expected);
     equal += a.stride == b.stride;
     overlapping += expected;

@@ -205,7 +205,8 @@ std::size_t add_all_levels(Digest& d, PipelineSpec spec, const std::vector<bool>
 
 ArraySpec slab(const std::string& name, MapType map, std::vector<std::int64_t> dims,
                Affine start, std::int64_t window) {
-  return ArraySpec{name, map, host, sizeof(double), std::move(dims), SplitSpec{0, start, window}};
+  return ArraySpec{name, map, host, sizeof(double), std::move(dims),
+                   SplitSpec{0, start, window}};
 }
 
 PipelineSpec region(std::int64_t lo, std::int64_t hi, std::int64_t chunk, int streams,
