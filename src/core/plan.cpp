@@ -326,6 +326,41 @@ class PlanEmitter {
     for (int id : ids) node(id).event_node = ids.back();
   }
 
+  /// Emits kernel `k` (accesses declared): it waits on the copy that landed
+  /// each index it reads and on the last drain of each slot it writes, and
+  /// records its own event.
+  int kernel(PlanNode k) {
+    for (const PlanAccess& acc : k.accesses) {
+      const RingCells& rc = cells(acc.array);
+      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx)
+        push_dep(k.deps, acc.write ? rc.drain(idx) : rc.producer(idx, acc.row_lo, acc.row_hi));
+    }
+    k.records_event = true;
+    const int id = add(std::move(k));
+    node(id).event_node = id;
+    for (const PlanAccess& acc : node(id).accesses) {
+      RingCells& rc = cells(acc.array);
+      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx) {
+        if (acc.write)
+          rc.write(idx);
+        else
+          rc.read(idx, id);
+      }
+    }
+    return id;
+  }
+
+  /// Makes the copy-outs `ids` of one kernel an event group; its recorder
+  /// becomes the last drain of every slot they empty.
+  void drains(const std::vector<int>& ids) {
+    group(ids);
+    for (int id : ids) {
+      const PlanNode& d = node(id);
+      for (std::int64_t idx = d.begin; idx < d.end; ++idx)
+        cells(d.array).drained(idx, ids.back());
+    }
+  }
+
   /// Ends the build: trims the node list (plans live on in the plan cache)
   /// and fills the build's share of the optimization report — the naive
   /// schedule's volume and node count, the stitch lowering, and halo reuse.
@@ -607,36 +642,16 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
     k.chunk = counter;
     k.begin = lo;
     k.end = hi;
-    k.records_event = true;
     k.label = "chunk";
     append_int(k.label, counter);
     for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
       const ArraySpec& a = spec.arrays[ai];
-      const RingCells& rc = e.cells(static_cast<int>(ai));
+      const int array = static_cast<int>(ai);
       const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-      if (is_input(a.map)) {
-        for (std::int64_t idx = w_lo; idx < w_hi; ++idx)
-          push_dep(k.deps, rc.producer(idx, 0, 1));
-        k.accesses.push_back({static_cast<int>(ai), w_lo, w_hi, 0, 0, false});
-      }
-      if (is_output(a.map)) {
-        // Output-slot rewrite guard: the slots this kernel writes must have
-        // been drained to the host by the previous occupant's copy-out.
-        for (std::int64_t idx = w_lo; idx < w_hi; ++idx) push_dep(k.deps, rc.drain(idx));
-        k.accesses.push_back({static_cast<int>(ai), w_lo, w_hi, 0, 0, true});
-      }
+      if (is_input(a.map)) k.accesses.push_back({array, w_lo, w_hi, 0, 0, false});
+      if (is_output(a.map)) k.accesses.push_back({array, w_lo, w_hi, 0, 0, true});
     }
-    const int kid = e.add(std::move(k));
-    e.node(kid).event_node = kid;
-    for (const PlanAccess& acc : e.node(kid).accesses) {
-      RingCells& rc = e.cells(acc.array);
-      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx) {
-        if (acc.write)
-          rc.write(idx);
-        else
-          rc.read(idx, kid);
-      }
-    }
+    const int kid = e.kernel(std::move(k));
 
     // ---- copy-out: drain produced output slices ----
     group.clear();
@@ -651,12 +666,7 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
       d.chunk = counter;
       group.push_back(e.drain(std::move(d), o_lo, o_hi, kid));
     }
-    e.group(group);
-    for (int id : group) {
-      const PlanNode& d = e.node(id);
-      RingCells& rc = e.cells(d.array);
-      for (std::int64_t idx = d.begin; idx < d.end; ++idx) rc.drained(idx, group.back());
-    }
+    e.drains(group);
   }
   e.finish(report);
   return plan;
@@ -834,35 +844,18 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
       k.end = j + 1;
       k.tile_i = i;
       k.tile_j = j;
-      k.records_event = true;
       k.label = "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
       for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
         const TileArraySpec& a = spec.arrays[ai];
-        const RingCells& rc = e.cells(static_cast<int>(ai));
         const std::int64_t rs = a.row_split.start(i);
         const std::int64_t rh = rs + a.row_split.window;
         const std::int64_t cs = a.col_split.start(j);
         const std::int64_t ch = cs + a.col_split.window;
-        if (is_input(a.map)) {
-          for (std::int64_t c = cs; c < ch; ++c) push_dep(k.deps, rc.producer(c, rs, rh));
-          k.accesses.push_back({static_cast<int>(ai), cs, ch, rs, rh, false});
-        }
-        if (is_output(a.map)) {
-          for (std::int64_t c = cs; c < ch; ++c) push_dep(k.deps, rc.drain(c));
-          k.accesses.push_back({static_cast<int>(ai), cs, ch, rs, rh, true});
-        }
+        const int array = static_cast<int>(ai);
+        if (is_input(a.map)) k.accesses.push_back({array, cs, ch, rs, rh, false});
+        if (is_output(a.map)) k.accesses.push_back({array, cs, ch, rs, rh, true});
       }
-      const int kid = e.add(std::move(k));
-      e.node(kid).event_node = kid;
-      for (const PlanAccess& acc : e.node(kid).accesses) {
-        RingCells& rc = e.cells(acc.array);
-        for (std::int64_t c = acc.lo; c < acc.hi; ++c) {
-          if (acc.write)
-            rc.write(c);
-          else
-            rc.read(c, kid);
-        }
-      }
+      const int kid = e.kernel(std::move(k));
 
       // ---- copy-out ----
       group.clear();
@@ -881,12 +874,7 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
         d.tile_j = j;
         group.push_back(e.drain(std::move(d), b.cs, b.ch, kid));
       }
-      e.group(group);
-      for (int id : group) {
-        const PlanNode& d = e.node(id);
-        RingCells& rc = e.cells(d.array);
-        for (std::int64_t c = d.begin; c < d.end; ++c) rc.drained(c, group.back());
-      }
+      e.drains(group);
       band_tail[si] = group.empty() ? kid : group.back();
     }
 
