@@ -37,14 +37,23 @@ void append_range(std::string& s, std::int64_t lo, std::int64_t hi) {
   s += ')';
 }
 
-/// A node label: `what` (e.g. "h2d "), the array name, and "[lo,hi)".
+/// A node label: `what` (e.g. "h2d "), the array name, and "[lo,hi)",
+/// allocated at its exact size (short ones stay inline: plans live on in
+/// the plan cache).
 std::string range_label(std::string_view what, std::string_view name, std::int64_t lo,
                         std::int64_t hi) {
+  char l[24], h[24];
+  char* const l_end = std::to_chars(l, l + sizeof(l), lo).ptr;
+  char* const h_end = std::to_chars(h, h + sizeof(h), hi).ptr;
   std::string s;
-  s.reserve(what.size() + name.size() + 24);
+  s.reserve(what.size() + name.size() + static_cast<std::size_t>((l_end - l) + (h_end - h)) + 3);
   s += what;
   s += name;
-  append_range(s, lo, hi);
+  s += '[';
+  s.append(l, l_end);
+  s += ',';
+  s.append(h, h_end);
+  s += ')';
   return s;
 }
 
