@@ -1,9 +1,9 @@
 // Plan digest corpus: an FNV-1a digest over the canonical dump of every plan
 // the builders emit for a fixed corpus of regions, plus the optimization
-// report numbers that feed metrics and the scheduler. The pinned values
-// were computed before the plan builders learned to emit the optimized
-// schedule directly, so any change to a plan node, a dependency order, a
-// segment, a label, an event group, or a report number shows up here.
+// report numbers that feed metrics and the scheduler. Any change to a plan
+// node, a dependency order, a segment, a label, an event group, or a report
+// number changes a digest, so only a change meant to alter plans may re-pin
+// them (a refactor of the builders or passes must leave them as they are).
 //
 // The corpus: the paper's Fig. 4/7 stencil shapes, the four apps'
 // Pipelined-buffer regions at test sizes, the nine serve templates, seeded
