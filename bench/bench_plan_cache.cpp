@@ -146,8 +146,7 @@ struct DiskTiming {
 };
 
 // Every rep models one replica of a serve fleet starting cold: the memory
-// tier is empty and each job template must be footprinted, planned, and
-// estimated. Without GPUPIPE_PLAN_CACHE_DIR that work repeats per replica;
+// tier is empty and each job template must be planned and estimated. Without GPUPIPE_PLAN_CACHE_DIR that work repeats per replica;
 // with it, the first replica's disk writes turn every later replica's
 // warmup into deserialization. Same process here, but clear() empties the
 // memory tier exactly as a fresh exec would.

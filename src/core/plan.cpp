@@ -900,7 +900,13 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
 
 Bytes predicted_pipeline_footprint(const gpu::Gpu& g, const PipelineSpec& spec,
                                    std::int64_t chunk_size, int num_streams) {
-  return PlanCache::instance().footprint(g, spec, chunk_size, num_streams);
+  Bytes total = 0;
+  for (const auto& a : spec.arrays)
+    total += RingBuffer::predict_footprint(
+        g, a,
+        layout::ring_len_for_spec(a, spec.loop_begin, spec.loop_end, chunk_size,
+                                  num_streams));
+  return total;
 }
 
 SolvedShape solve_pipeline_shape(const gpu::Gpu& g, const PipelineSpec& spec, Bytes limit) {

@@ -319,13 +319,14 @@ struct SolvedShape {
 
 /// solve_pipeline_memory, but also returns the footprint of the final shape
 /// so callers that need both (the admission controller commits exactly what
-/// the solver accepted) pay for one lookup instead of two.
+/// the solver accepted) compute it once instead of twice.
 SolvedShape solve_pipeline_shape(const gpu::Gpu& g, const PipelineSpec& spec, Bytes limit);
 
 /// Predicted total device ring-buffer footprint of `spec` at the given
 /// chunk/stream shape — exactly what constructing a Pipeline at that shape
-/// would allocate. Pure arithmetic; the admission controller uses it to
-/// commit memory before any buffer exists.
+/// would allocate. Pure arithmetic, cheaper than any cache key, so it is
+/// never memoized; the admission controller uses it to commit memory
+/// before any buffer exists.
 Bytes predicted_pipeline_footprint(const gpu::Gpu& g, const PipelineSpec& spec,
                                    std::int64_t chunk_size, int num_streams);
 

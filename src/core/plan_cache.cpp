@@ -1,86 +1,82 @@
 #include "core/plan_cache.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
-#include "core/buffer.hpp"
-#include "core/layout.hpp"
+#include "common/key_text.hpp"
 #include "core/plan_serialize.hpp"
 
 namespace gpupipe::core {
 
 namespace {
 
-void append_i64(std::string& out, std::int64_t v) {
-  out += std::to_string(v);
-  out += '|';
-}
+using key_text::append_f64;
+using key_text::append_i64;
 
-// Hexfloat: exact round-trip, so two cost hints differing in the last ulp
-// key differently (bit-identical results require bit-identical inputs).
-// std::to_chars, not snprintf("%a"): printf's hexfloat spells the radix
-// point with the LC_NUMERIC decimal character, so the same spec would hash
-// differently under e.g. a comma-decimal locale — fatal once keys persist
-// on disk and travel between machines. to_chars is locale-independent by
-// specification.
-void append_f64(std::string& out, double v) {
-  char buf[40];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::hex);
-  require(ec == std::errc{}, "plan cache: hexfloat encoding failed");
-  out.append(buf, end);
-  out += '|';
-}
+constexpr std::string_view kPlanPrefix = "plan|";
+constexpr std::string_view kEstimatePrefix = "est|";
 
-/// Every numeric field of the device profile, name first. Keying on the
-/// profile's content (not the Gpu instance) lets separate devices — and the
-/// serve tool's solo-baseline machines — share one compiled plan.
-void append_profile(std::string& out, const gpu::DeviceProfile& p) {
-  out += p.name;
-  out += '|';
-  append_i64(out, static_cast<std::int64_t>(p.total_memory));
-  append_i64(out, static_cast<std::int64_t>(p.reserved_memory));
-  append_i64(out, static_cast<std::int64_t>(p.context_memory));
-  append_i64(out, static_cast<std::int64_t>(p.per_stream_memory));
-  append_f64(out, p.peak_flops);
-  append_f64(out, p.mem_bandwidth);
-  append_f64(out, p.pcie_bandwidth);
-  append_i64(out, static_cast<std::int64_t>(p.pcie_half_saturation));
-  append_i64(out, static_cast<std::int64_t>(p.pcie_row_half_saturation));
-  append_f64(out, p.pageable_penalty);
-  append_f64(out, p.copy_setup_latency);
-  append_f64(out, p.copy_segment_latency);
-  append_f64(out, p.kernel_launch_latency);
-  append_f64(out, p.api_call_host_overhead);
-  append_f64(out, p.sched_overhead_per_stream);
-  append_i64(out, p.h2d_engines);
-  append_i64(out, p.d2h_engines);
-  append_i64(out, p.unified_copy_engine ? 1 : 0);
-  append_i64(out, p.max_concurrent_kernels);
-  append_i64(out, static_cast<std::int64_t>(p.pitch_alignment));
-  append_i64(out, static_cast<std::int64_t>(p.alloc_alignment));
-}
-
-/// The uncached predicted footprint — the arithmetic
-/// predicted_pipeline_footprint (core/plan.cpp) delegates here through the
-/// cache, so this is the single definition.
-Bytes raw_footprint(const gpu::Gpu& g, const PipelineSpec& spec, std::int64_t chunk_size,
-                    int num_streams) {
-  Bytes total = 0;
-  for (const auto& a : spec.arrays)
-    total += RingBuffer::predict_footprint(
-        g, a,
-        layout::ring_len_for_spec(a, spec.loop_begin, spec.loop_end, chunk_size,
-                                  num_streams));
-  return total;
+/// `prefix` plus the fingerprint of `spec` at shape (c, s) on `g`, in one
+/// allocation: reserved for the longest text the fields can take, plus the
+/// four cost fields an estimate key appends.
+std::string make_key(std::string_view prefix, const gpu::Gpu& g, const PipelineSpec& spec,
+                     std::int64_t c, int s) {
+  constexpr std::size_t f = key_text::kMaxField;
+  std::size_t n = prefix.size() + g.profile_key().size() + (5 + 4) * f;
+  for (const auto& a : spec.arrays) n += a.name.size() + 2 + (a.dims.size() + 7) * f;
+  n += spec.halos.size() * (5 + 5 * f) + spec.handoffs.size() * (8 + 3 * f);
+  std::string key;
+  key.reserve(n);
+  key += prefix;
+  key += g.profile_key();
+  append_i64(key, spec.opt_level);
+  append_i64(key, spec.loop_begin);
+  append_i64(key, spec.loop_end);
+  append_i64(key, c);
+  append_i64(key, s);
+  for (const auto& a : spec.arrays) {
+    key += a.name;
+    key += '|';
+    append_i64(key, static_cast<std::int64_t>(a.map));
+    append_i64(key, static_cast<std::int64_t>(a.elem_size));
+    for (auto d : a.dims) append_i64(key, d);
+    key += ';';
+    append_i64(key, a.split.dim);
+    append_i64(key, a.split.start.scale);
+    append_i64(key, a.split.start.offset);
+    append_i64(key, a.split.window);
+    append_i64(key, g.is_pinned(a.host) ? 1 : 0);
+  }
+  // Shard halo wiring changes the emitted nodes (P2pSend/P2pRecv replace
+  // host uploads), so each shard of a decomposition gets its own honest
+  // fingerprint — and never collides with the solo plan of the same range.
+  for (const auto& h : spec.halos) {
+    key += "halo|";
+    append_i64(key, h.array);
+    append_i64(key, h.recv_lo);
+    append_i64(key, h.recv_peer);
+    append_i64(key, h.send_hi);
+    append_i64(key, h.send_peer);
+  }
+  // Handoff wiring likewise reshapes the plan (DeviceHandoff replaces the
+  // host transfers), so a stitched lineage job never aliases its unstitched
+  // twin in the cache.
+  for (const auto& h : spec.handoffs) {
+    key += "handoff|";
+    append_i64(key, h.array);
+    append_i64(key, h.link);
+    append_i64(key, h.produce ? 1 : 0);
+  }
+  return key;
 }
 
 /// The uncached full-loop compile: identical construction to the predicted
@@ -96,6 +92,10 @@ PlanCache::Compiled raw_compile(const gpu::Gpu& g, const PipelineSpec& spec) {
   out.report.append(optimize_plan(plan, spec.opt_level, &g.profile()));
   out.plan = std::make_shared<const ExecutionPlan>(std::move(plan));
   return out;
+}
+
+SimTime raw_estimate(const ExecutionPlan& plan, const gpu::Gpu& g, const DryRunCost& cost) {
+  return dry_run(plan, g.profile(), cost, DryRunTrace::MakespanOnly).makespan;
 }
 
 Bytes approx_plan_bytes(const ExecutionPlan& p) {
@@ -139,24 +139,6 @@ std::string key_hash_hex(const std::string& key) {
   return buf;
 }
 
-/// The cache-key prefix each artifact kind persists under (Tune records
-/// only ever live in bundles, never in the entry store).
-const char* kind_prefix(ArtifactKind kind) {
-  switch (kind) {
-    case ArtifactKind::Plan: return "plan|";
-    case ArtifactKind::Footprint: return "fp|";
-    case ArtifactKind::Estimate: return "est|";
-    case ArtifactKind::Tune: return nullptr;
-  }
-  return nullptr;
-}
-
-ArtifactKind kind_of_key(const std::string& key) {
-  if (key.rfind("plan|", 0) == 0) return ArtifactKind::Plan;
-  if (key.rfind("fp|", 0) == 0) return ArtifactKind::Footprint;
-  return ArtifactKind::Estimate;  // "est|..." — the only other entry prefix
-}
-
 }  // namespace
 
 PlanCache& PlanCache::instance() {
@@ -170,13 +152,6 @@ PlanCache& PlanCache::instance() {
   return cache;
 }
 
-std::string PlanCache::profile_fingerprint(const gpu::DeviceProfile& profile) {
-  std::string out;
-  out.reserve(192);
-  append_profile(out, profile);
-  return out;
-}
-
 bool PlanCache::fingerprintable(const PipelineSpec& spec) {
   if (spec.schedule != ScheduleKind::Static) return false;
   for (const auto& a : spec.arrays)
@@ -188,48 +163,7 @@ std::string PlanCache::fingerprint(const gpu::Gpu& g, const PipelineSpec& spec,
                                    std::int64_t chunk_size, int num_streams) {
   require(fingerprintable(spec),
           "plan cache: spec is not fingerprintable (window_fn or non-static schedule)");
-  std::string key;
-  key.reserve(256);
-  append_profile(key, g.profile());
-  append_i64(key, spec.opt_level);
-  append_i64(key, spec.loop_begin);
-  append_i64(key, spec.loop_end);
-  append_i64(key, chunk_size);
-  append_i64(key, num_streams);
-  for (const auto& a : spec.arrays) {
-    key += a.name;
-    key += '|';
-    append_i64(key, static_cast<std::int64_t>(a.map));
-    append_i64(key, static_cast<std::int64_t>(a.elem_size));
-    for (auto d : a.dims) append_i64(key, d);
-    key += ';';
-    append_i64(key, a.split.dim);
-    append_i64(key, a.split.start.scale);
-    append_i64(key, a.split.start.offset);
-    append_i64(key, a.split.window);
-    append_i64(key, g.is_pinned(a.host) ? 1 : 0);
-  }
-  // Shard halo wiring changes the emitted nodes (P2pSend/P2pRecv replace
-  // host uploads), so each shard of a decomposition gets its own honest
-  // fingerprint — and never collides with the solo plan of the same range.
-  for (const auto& h : spec.halos) {
-    key += "halo|";
-    append_i64(key, h.array);
-    append_i64(key, h.recv_lo);
-    append_i64(key, h.recv_peer);
-    append_i64(key, h.send_hi);
-    append_i64(key, h.send_peer);
-  }
-  // Handoff wiring likewise reshapes the plan (DeviceHandoff replaces the
-  // host transfers), so a stitched lineage job never aliases its unstitched
-  // twin in the cache.
-  for (const auto& h : spec.handoffs) {
-    key += "handoff|";
-    append_i64(key, h.array);
-    append_i64(key, h.link);
-    append_i64(key, h.produce ? 1 : 0);
-  }
-  return key;
+  return make_key({}, g, spec, chunk_size, num_streams);
 }
 
 std::shared_ptr<const PlanCache::Entry> PlanCache::find(const std::string& key) {
@@ -262,24 +196,14 @@ void PlanCache::insert(const std::string& key, std::shared_ptr<const Entry> entr
   }
 }
 
-Bytes PlanCache::footprint(const gpu::Gpu& g, const PipelineSpec& spec,
-                           std::int64_t chunk_size, int num_streams) {
-  if (!usable(spec)) return raw_footprint(g, spec, chunk_size, num_streams);
-  const std::string key = "fp|" + fingerprint(g, spec, chunk_size, num_streams);
-  if (auto e = find(key)) return e->footprint;
-  if (auto e = disk_load(key)) return e->footprint;
-  auto e = std::make_shared<Entry>();
-  e->footprint = raw_footprint(g, spec, chunk_size, num_streams);
-  e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry);
-  const Bytes fp = e->footprint;
-  disk_store(key, *e);
-  insert(key, std::move(e));
-  return fp;
-}
-
 PlanCache::Compiled PlanCache::compile(const gpu::Gpu& g, const PipelineSpec& spec) {
   if (!usable(spec)) return raw_compile(g, spec);
-  const std::string key = "plan|" + fingerprint(g, spec, spec.chunk_size, spec.num_streams);
+  return compile_keyed(g, spec,
+                       make_key(kPlanPrefix, g, spec, spec.chunk_size, spec.num_streams));
+}
+
+PlanCache::Compiled PlanCache::compile_keyed(const gpu::Gpu& g, const PipelineSpec& spec,
+                                             const std::string& key) {
   if (auto e = find(key)) return Compiled{e->plan, e->report};
   if (auto e = disk_load(key)) return Compiled{e->plan, e->report};
   Compiled built = raw_compile(g, spec);
@@ -294,26 +218,66 @@ PlanCache::Compiled PlanCache::compile(const gpu::Gpu& g, const PipelineSpec& sp
 
 SimTime PlanCache::estimate(const gpu::Gpu& g, const PipelineSpec& spec,
                             const DryRunCost& cost) {
-  if (!usable(spec)) {
-    const Compiled built = raw_compile(g, spec);
-    return dry_run(*built.plan, g.profile(), cost, DryRunTrace::MakespanOnly).makespan;
-  }
-  std::string key = "est|" + fingerprint(g, spec, spec.chunk_size, spec.num_streams);
+  if (!usable(spec)) return raw_estimate(*raw_compile(g, spec).plan, g, cost);
+  std::string key = make_key(kEstimatePrefix, g, spec, spec.chunk_size, spec.num_streams);
+  const std::size_t body_end = key.size();
   append_f64(key, cost.flops_per_iter);
   append_f64(key, cost.bytes_per_iter);
   append_f64(key, cost.seconds_per_iter);
   append_i64(key, cost.live_streams);
   if (auto e = find(key)) return e->makespan;
   if (auto e = disk_load(key)) return e->makespan;
-  const Compiled built = compile(g, spec);
+  // The plan key is the same fingerprint behind the other prefix.
+  std::string plan_key;
+  plan_key.reserve(kPlanPrefix.size() + body_end - kEstimatePrefix.size());
+  plan_key += kPlanPrefix;
+  plan_key.append(key, kEstimatePrefix.size(), body_end - kEstimatePrefix.size());
   auto e = std::make_shared<Entry>();
-  e->makespan =
-      dry_run(*built.plan, g.profile(), cost, DryRunTrace::MakespanOnly).makespan;
+  e->makespan = raw_estimate(*compile_keyed(g, spec, plan_key).plan, g, cost);
   e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry);
   const SimTime makespan = e->makespan;
   disk_store(key, *e);
   insert(key, std::move(e));
   return makespan;
+}
+
+std::shared_ptr<const PlanCache::Entry> PlanCache::entry_of(PlanArtifact a) {
+  const std::string_view prefix = a.kind == ArtifactKind::Plan       ? kPlanPrefix
+                                  : a.kind == ArtifactKind::Estimate ? kEstimatePrefix
+                                                                     : std::string_view{};
+  if (prefix.empty() || !a.key.starts_with(prefix)) return nullptr;
+  auto e = std::make_shared<Entry>();
+  e->cost = static_cast<Bytes>(a.key.size()) + sizeof(Entry);
+  if (a.kind == ArtifactKind::Estimate) {
+    e->makespan = a.estimate;
+    return e;
+  }
+  auto plan = std::make_shared<ExecutionPlan>(std::move(a.plan));
+  // A checksum-valid but hazardous graph (FNV is not cryptographic) must
+  // never reach an executor; re-prove it race-free like the builder did.
+  try {
+    plan->validate_once();
+  } catch (...) {
+    return nullptr;
+  }
+  e->cost += approx_plan_bytes(*plan);
+  e->plan = std::move(plan);
+  e->report = std::move(a.report);
+  return e;
+}
+
+PlanArtifact PlanCache::artifact_of(const std::string& key, const Entry& e) {
+  PlanArtifact a;
+  a.key = key;
+  if (e.plan) {
+    a.kind = ArtifactKind::Plan;
+    a.plan = *e.plan;
+    a.report = e.report;
+  } else {
+    a.kind = ArtifactKind::Estimate;
+    a.estimate = e.makespan;
+  }
+  return a;
 }
 
 void PlanCache::set_disk_dir(const std::string& dir) {
@@ -351,46 +315,13 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::disk_load(const std::string& 
     bytes.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
     if (is.bad()) bytes.clear();
   }
-  PlanArtifact a;
-  bool ok = deserialize_artifact(bytes, a);
   // The embedded key must be exactly the one asked for: a filename-hash
   // collision, a renamed/copied file, or fingerprint-format drift between
   // builds all land here as a mismatch instead of being served.
-  ok = ok && a.key == key && kind_prefix(a.kind) != nullptr &&
-       key.rfind(kind_prefix(a.kind), 0) == 0;
-  std::shared_ptr<Entry> e;
-  if (ok) {
-    e = std::make_shared<Entry>();
-    switch (a.kind) {
-      case ArtifactKind::Plan: {
-        auto plan = std::make_shared<ExecutionPlan>(std::move(a.plan));
-        // A checksum-valid but hazardous graph (FNV is not cryptographic)
-        // must never reach an executor; re-prove it race-free like the
-        // builder did.
-        try {
-          plan->validate_once();
-        } catch (...) {
-          ok = false;
-        }
-        e->plan = std::move(plan);
-        e->report = std::move(a.report);
-        e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry) + approx_plan_bytes(*e->plan);
-        break;
-      }
-      case ArtifactKind::Footprint:
-        e->footprint = a.footprint;
-        e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry);
-        break;
-      case ArtifactKind::Estimate:
-        e->makespan = a.estimate;
-        e->cost = static_cast<Bytes>(key.size()) + sizeof(Entry);
-        break;
-      case ArtifactKind::Tune:
-        ok = false;  // tune results are bundle-only, never entry files
-        break;
-    }
-  }
-  if (!ok) {
+  PlanArtifact a;
+  std::shared_ptr<const Entry> e;
+  if (deserialize_artifact(bytes, a) && a.key == key) e = entry_of(std::move(a));
+  if (!e) {
     disk_corrupt_.fetch_add(1, std::memory_order_relaxed);
     if (auto* rec = recorder_.load(std::memory_order_relaxed))
       rec->record_now(telemetry::FlightEventKind::DiskCorrupt);
@@ -414,25 +345,7 @@ std::shared_ptr<const PlanCache::Entry> PlanCache::disk_load(const std::string& 
 void PlanCache::disk_store(const std::string& key, const Entry& entry) {
   const std::string path = disk_path(key);
   if (path.empty()) return;
-  PlanArtifact a;
-  a.kind = kind_of_key(key);
-  a.key = key;
-  switch (a.kind) {
-    case ArtifactKind::Plan:
-      if (!entry.plan) return;
-      a.plan = *entry.plan;
-      a.report = entry.report;
-      break;
-    case ArtifactKind::Footprint:
-      a.footprint = entry.footprint;
-      break;
-    case ArtifactKind::Estimate:
-      a.estimate = entry.makespan;
-      break;
-    case ArtifactKind::Tune:
-      return;
-  }
-  const std::string bytes = serialize_artifact(a);
+  const std::string bytes = serialize_artifact(artifact_of(key, entry));
   // Unique-enough temp name (per-process ASLR address + sequence) in the
   // destination directory, so the final rename is same-filesystem atomic.
   // Two replicas racing on one temp name at worst produce a torn file that
@@ -523,35 +436,8 @@ std::size_t PlanCache::load_bundle(const PlanBundle& bundle) {
   if (!enabled()) return 0;
   std::size_t admitted = 0;
   for (const PlanArtifact& a : bundle.artifacts) {
-    const char* prefix = kind_prefix(a.kind);
-    if (prefix == nullptr || a.key.rfind(prefix, 0) != 0) continue;
-    auto e = std::make_shared<Entry>();
-    switch (a.kind) {
-      case ArtifactKind::Plan: {
-        auto plan = std::make_shared<ExecutionPlan>(a.plan);
-        try {
-          plan->validate_once();
-        } catch (...) {
-          plan.reset();
-        }
-        if (!plan) continue;
-        e->plan = std::move(plan);
-        e->report = a.report;
-        e->cost =
-            static_cast<Bytes>(a.key.size()) + sizeof(Entry) + approx_plan_bytes(*e->plan);
-        break;
-      }
-      case ArtifactKind::Footprint:
-        e->footprint = a.footprint;
-        e->cost = static_cast<Bytes>(a.key.size()) + sizeof(Entry);
-        break;
-      case ArtifactKind::Estimate:
-        e->makespan = a.estimate;
-        e->cost = static_cast<Bytes>(a.key.size()) + sizeof(Entry);
-        break;
-      case ArtifactKind::Tune:
-        continue;
-    }
+    auto e = entry_of(a);
+    if (!e) continue;
     insert(a.key, std::move(e));
     ++admitted;
   }
@@ -570,27 +456,7 @@ void PlanCache::export_bundle(PlanBundle& bundle) const {
       if (found != map_.end()) snapshot.emplace_back(*it, found->second.entry);
     }
   }
-  for (auto& [key, e] : snapshot) {
-    PlanArtifact a;
-    a.kind = kind_of_key(key);
-    a.key = key;
-    switch (a.kind) {
-      case ArtifactKind::Plan:
-        if (!e->plan) continue;
-        a.plan = *e->plan;
-        a.report = e->report;
-        break;
-      case ArtifactKind::Footprint:
-        a.footprint = e->footprint;
-        break;
-      case ArtifactKind::Estimate:
-        a.estimate = e->makespan;
-        break;
-      case ArtifactKind::Tune:
-        continue;
-    }
-    bundle.artifacts.push_back(std::move(a));
-  }
+  for (const auto& [key, e] : snapshot) bundle.artifacts.push_back(artifact_of(key, *e));
 }
 
 void PlanCache::set_capacity(std::size_t n) {

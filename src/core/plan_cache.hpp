@@ -1,16 +1,17 @@
 // Plan compilation cache — memoized planning for the serve hot path.
 //
-// The scheduler's admission loop and the serving front end call the same
-// planning pipeline over and over: predicted_pipeline_footprint on every
-// admission attempt (including each backoff retry), a full
-// build-plus-optimize in estimate_pipeline_runtime per arriving job, and a
-// plan lookup in Pipeline's constructor once the job starts. For repeated
-// tenants every one of those calls recomputes a pure function of (device
-// profile, spec shape). This module memoizes the three expensive results —
-// the predicted ring footprint at a shape, the built+optimized full-loop
-// ExecutionPlan (shared and immutable, so concurrent pipelines and dry runs
-// replay one object), and the dry-run makespan — behind one bounded LRU
-// keyed by a canonical fingerprint of everything the result depends on.
+// The scheduler and the serving front end call the same planning pipeline
+// over and over: a full build-plus-optimize plus a dry run in
+// estimate_pipeline_runtime per arriving job, and a plan lookup in
+// Pipeline's constructor once the job starts. For repeated tenants every
+// one of those calls recomputes a pure function of (device profile, spec
+// shape). This module memoizes the two expensive results — the
+// built+optimized full-loop ExecutionPlan (shared and immutable, so
+// concurrent pipelines and dry runs replay one object) and the dry-run
+// makespan — behind one bounded LRU keyed by a canonical fingerprint of
+// everything the result depends on. The predicted ring footprint the
+// memory solver needs is not memoized: its closed form costs less than a
+// key would (predicted_pipeline_footprint, core/plan.hpp).
 //
 // Soundness: a fingerprint covers the device profile (name plus every
 // numeric field), the loop bounds, opt level, per-array geometry (map,
@@ -23,6 +24,11 @@
 // std::function) and bypass the cache entirely, as does everything when the
 // capacity is 0 — a cached call and a computed call return identical
 // values, so behaviour with the cache on is bit-identical to off.
+//
+// Cost: a key starts from the profile text gpu::Gpu formats once per
+// device (Gpu::profile_key()), so a lookup formats only the spec's
+// integers. An estimate builds one key body and derives the `est|` key and,
+// on a miss, the `plan|` key from it.
 //
 // Thread safety: the LRU is mutex-guarded; misses compute outside the lock
 // (plan building is pure), so the autotuner's dry-run workers share hits
@@ -53,6 +59,7 @@
 
 namespace gpupipe::core {
 
+struct PlanArtifact;
 struct PlanBundle;
 
 /// Point-in-time counters of one PlanCache.
@@ -80,10 +87,9 @@ struct PlanCacheStats {
   }
 };
 
-/// Bounded, thread-safe LRU over the three planning memos. One process-wide
-/// instance() serves Pipeline, the solver/estimator entry points, the
-/// admission controller, and the autotuner; tests may construct private
-/// instances.
+/// Bounded, thread-safe LRU over the two planning memos. One process-wide
+/// instance() serves Pipeline, the estimator entry points, the scheduler,
+/// and the autotuner; tests may construct private instances.
 class PlanCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
@@ -103,11 +109,6 @@ class PlanCache {
     OptReport report;
   };
 
-  /// Predicted ring footprint of `spec` at shape (chunk_size, num_streams)
-  /// — memoized predicted_pipeline_footprint.
-  Bytes footprint(const gpu::Gpu& g, const PipelineSpec& spec, std::int64_t chunk_size,
-                  int num_streams);
-
   /// The built+optimized full-loop plan of `spec` at its own shape, with
   /// ring lengths from the layout formulas (clamped to the array extents,
   /// exactly like RingBuffer) and pinned-ness read from `g` — node-identical
@@ -124,15 +125,12 @@ class PlanCache {
   /// specs compute directly on every call.
   static bool fingerprintable(const PipelineSpec& spec);
 
-  /// The canonical key of `spec` at a shape on `g`'s device — exposed so
-  /// tests can assert which field changes miss. Requires fingerprintable().
+  /// The canonical key of `spec` at a shape on `g`'s device — `g`'s
+  /// profile_key() followed by the spec's fields. Entry keys are this text
+  /// behind a `plan|` or `est|` prefix. Exposed so tests can assert which
+  /// field changes miss. Requires fingerprintable().
   static std::string fingerprint(const gpu::Gpu& g, const PipelineSpec& spec,
                                  std::int64_t chunk_size, int num_streams);
-
-  /// The device-profile prefix every fingerprint starts with (name plus
-  /// every numeric field, locale-independent). Bundle tune records key on
-  /// this so plans tuned for one device never apply to another.
-  static std::string profile_fingerprint(const gpu::DeviceProfile& profile);
 
   /// Enables (non-empty) or disables (empty) the on-disk tier: memory
   /// misses fall through to `dir`, and computed entries are written back
@@ -205,7 +203,6 @@ class PlanCache {
   struct Entry {
     std::shared_ptr<const ExecutionPlan> plan;  ///< compile entries
     OptReport report;
-    Bytes footprint = 0;     ///< footprint entries
     SimTime makespan = 0.0;  ///< estimate entries
     Bytes cost = 0;          ///< approximate bytes charged to the bytes stat
   };
@@ -215,6 +212,14 @@ class PlanCache {
   bool usable(const PipelineSpec& spec) const {
     return enabled() && fingerprintable(spec);
   }
+  /// compile() under an already built `plan|` key.
+  Compiled compile_keyed(const gpu::Gpu& g, const PipelineSpec& spec, const std::string& key);
+  /// The entry a persisted artifact holds; null for Tune records, a key
+  /// without its kind's prefix, or a plan that fails its race-freedom
+  /// re-proof.
+  static std::shared_ptr<const Entry> entry_of(PlanArtifact a);
+  /// The artifact that persists entry `e` under `key`.
+  static PlanArtifact artifact_of(const std::string& key, const Entry& e);
 
   /// Memory miss fall-through: reads the key's disk entry (if a disk dir is
   /// set), validates it, admits it to the memory tier, and returns it.

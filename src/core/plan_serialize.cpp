@@ -9,7 +9,6 @@
 #include <span>
 
 #include "common/checksum.hpp"
-#include "core/plan_cache.hpp"
 
 namespace gpupipe::core {
 
@@ -336,9 +335,6 @@ void write_payload(ByteWriter& w, const PlanArtifact& a) {
       write_plan(w, a.plan);
       write_report(w, a.report);
       break;
-    case ArtifactKind::Footprint:
-      w.u64(a.footprint);
-      break;
     case ArtifactKind::Estimate:
       w.f64(a.estimate);
       break;
@@ -353,9 +349,6 @@ bool read_payload(ByteReader& r, PlanArtifact& a) {
     case ArtifactKind::Plan:
       read_plan(r, a.plan);
       read_report(r, a.report);
-      break;
-    case ArtifactKind::Footprint:
-      a.footprint = r.u64();
       break;
     case ArtifactKind::Estimate:
       a.estimate = r.f64();
@@ -377,7 +370,7 @@ bool set_error(std::string* error, const std::string& why) {
 
 std::string tune_artifact_key(const gpu::DeviceProfile& profile,
                               const std::string& job_template) {
-  return "tune|" + PlanCache::profile_fingerprint(profile) + job_template;
+  return "tune|" + gpu::profile_key(profile) + job_template;
 }
 
 std::string serialize_artifact(const PlanArtifact& a) {
@@ -413,8 +406,9 @@ bool deserialize_artifact(std::string_view bytes, PlanArtifact& out, std::string
   if (version != kPlanFormatVersion)
     return set_error(error, "format version skew (" + std::to_string(version) + ")");
   const std::uint32_t kind = r.u32();
-  if (kind < static_cast<std::uint32_t>(ArtifactKind::Plan) ||
-      kind > static_cast<std::uint32_t>(ArtifactKind::Tune))
+  if (kind != static_cast<std::uint32_t>(ArtifactKind::Plan) &&
+      kind != static_cast<std::uint32_t>(ArtifactKind::Estimate) &&
+      kind != static_cast<std::uint32_t>(ArtifactKind::Tune))
     return set_error(error, "invalid artifact kind");
   r.u32();  // flags (reserved)
   PlanArtifact a;

@@ -9,7 +9,7 @@
 // across processes and machines:
 //
 //   * PlanArtifact — one cache entry (a compiled ExecutionPlan + OptReport,
-//     a predicted footprint, a dry-run makespan) or one TuneResult, tagged
+//     or a dry-run makespan) or one TuneResult, tagged
 //     with the canonical cache key it was computed under. The key doubles as
 //     the integrity echo: a reader that looks an artifact up by key rejects
 //     any record whose embedded key disagrees (hash-collision and
@@ -62,27 +62,29 @@ inline constexpr std::uint32_t kPlanBundleMagic = 0x4e425047u;
 /// v5: optimized kernels wait only on the latest drain of each output slot,
 ///     and reports carry no `coalesce` entry, so records of older binaries
 ///     (more kernel deps) are recomputed instead of served.
-inline constexpr std::uint32_t kPlanFormatVersion = 5;
+/// v6: footprint records (kind 2, `fp|` keys) are gone — the footprint is
+///     computed, not cached — so bundles and cache directories holding them
+///     are skipped whole and compact_disk() removes their files.
+inline constexpr std::uint32_t kPlanFormatVersion = 6;
 
-/// What one artifact carries. Values are part of the wire format.
+/// What one artifact carries. Values are part of the wire format; 2 (the
+/// v5 footprint record) is retired and rejected as an invalid kind.
 enum class ArtifactKind : std::uint32_t {
-  Plan = 1,       ///< ExecutionPlan + OptReport (a `plan|` cache entry)
-  Footprint = 2,  ///< predicted ring footprint (a `fp|` cache entry)
-  Estimate = 3,   ///< dry-run makespan (an `est|` cache entry)
-  Tune = 4,       ///< TuneResult of one job template (bundle-only)
+  Plan = 1,      ///< ExecutionPlan + OptReport (a `plan|` cache entry)
+  Estimate = 3,  ///< dry-run makespan (an `est|` cache entry)
+  Tune = 4,      ///< TuneResult of one job template (bundle-only)
 };
 
 /// One serializable plan-cache result. Only the fields of the active `kind`
 /// are meaningful; the others stay default-initialized.
 struct PlanArtifact {
   ArtifactKind kind = ArtifactKind::Plan;
-  /// The canonical PlanCache key (including its `plan|`/`fp|`/`est|`
-  /// prefix), or tune_artifact_key() for Tune records. Echoed on disk and
-  /// verified on read.
+  /// The canonical PlanCache key (including its `plan|` or `est|` prefix),
+  /// or tune_artifact_key() for Tune records. Echoed on disk and verified on
+  /// read.
   std::string key;
   ExecutionPlan plan;      ///< Plan
   OptReport report;        ///< Plan
-  Bytes footprint = 0;     ///< Footprint
   SimTime estimate = 0.0;  ///< Estimate
   TuneResult tune;         ///< Tune
 };

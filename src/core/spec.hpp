@@ -109,35 +109,39 @@ struct ArraySpec {
     return static_cast<Bytes>(n) * elem_size;
   }
 
+  // Called for every array of every planned spec: each check builds its
+  // message only when it fails.
   void validate() const {
-    require(host != nullptr, "array '" + name + "': host pointer is null");
-    require(elem_size > 0, "array '" + name + "': element size must be positive");
-    require(!dims.empty(), "array '" + name + "': needs at least one dimension");
-    for (auto d : dims) require(d > 0, "array '" + name + "': extents must be positive");
+    if (host == nullptr) require(false, "array '" + name + "': host pointer is null");
+    if (elem_size == 0)
+      require(false, "array '" + name + "': element size must be positive");
+    if (dims.empty()) require(false, "array '" + name + "': needs at least one dimension");
+    for (auto d : dims)
+      if (d <= 0) require(false, "array '" + name + "': extents must be positive");
     if (split.window_fn) {
       // Per-iteration ranges are validated when the pipeline scans the loop.
       const bool fn_slab = split.dim == 0;
       const bool fn_block2d = split.dim == 1 && dims.size() == 2;
-      require(fn_slab || fn_block2d,
-              "array '" + name + "': unsupported split dimension for window_fn");
+      if (!fn_slab && !fn_block2d)
+        require(false, "array '" + name + "': unsupported split dimension for window_fn");
       return;
     }
-    require(split.window >= 1, "array '" + name + "': split window must be >= 1");
-    require(split.start.scale >= 1,
-            "array '" + name + "': split_iter must be increasing in the loop variable");
-    if (map != MapType::To) {
-      // Output windows of consecutive iterations must not overlap, or two
-      // chunks would produce the same host slice (e.g. the paper's outputs
-      // are always of the form [k:1]).
-      require(split.window <= split.start.scale,
+    if (split.window < 1) require(false, "array '" + name + "': split window must be >= 1");
+    if (split.start.scale < 1)
+      require(false,
+              "array '" + name + "': split_iter must be increasing in the loop variable");
+    // Output windows of consecutive iterations must not overlap, or two
+    // chunks would produce the same host slice (e.g. the paper's outputs are
+    // always of the form [k:1]).
+    if (map != MapType::To && split.window > split.start.scale)
+      require(false,
               "array '" + name + "': output split window may not overlap between iterations");
-    }
     const bool slab = split.dim == 0;
     const bool block2d = split.dim == 1 && dims.size() == 2;
-    require(slab || block2d,
-            "array '" + name +
-                "': prototype supports splitting dimension 0 (slabs) or dimension 1 "
-                "of a 2-D array (column blocks)");
+    if (!slab && !block2d)
+      require(false, "array '" + name +
+                         "': prototype supports splitting dimension 0 (slabs) or dimension 1 "
+                         "of a 2-D array (column blocks)");
   }
 };
 
@@ -210,28 +214,26 @@ struct PipelineSpec {
       require(h.array >= 0 && h.array < static_cast<int>(arrays.size()),
               "shard halo names an array index outside the spec");
       const ArraySpec& a = arrays[static_cast<std::size_t>(h.array)];
-      require(a.split.dim == 0 && !a.split.window_fn,
-              "array '" + a.name + "': shard halos need a dim-0 affine split");
-      require(h.recv_peer >= 0 || h.send_peer >= 0,
-              "array '" + a.name + "': shard halo has neither direction");
-      if (h.recv_peer >= 0)
-        require(h.recv_lo >= 0, "array '" + a.name + "': halo recv_lo must be set");
-      if (h.send_peer >= 0)
-        require(h.send_hi >= 0, "array '" + a.name + "': halo send_hi must be set");
+      if (a.split.dim != 0 || a.split.window_fn)
+        require(false, "array '" + a.name + "': shard halos need a dim-0 affine split");
+      if (h.recv_peer < 0 && h.send_peer < 0)
+        require(false, "array '" + a.name + "': shard halo has neither direction");
+      if (h.recv_peer >= 0 && h.recv_lo < 0)
+        require(false, "array '" + a.name + "': halo recv_lo must be set");
+      if (h.send_peer >= 0 && h.send_hi < 0)
+        require(false, "array '" + a.name + "': halo send_hi must be set");
     }
     for (const auto& h : handoffs) {
       require(h.array >= 0 && h.array < static_cast<int>(arrays.size()),
               "array handoff names an array index outside the spec");
       const ArraySpec& a = arrays[static_cast<std::size_t>(h.array)];
-      require(h.link >= 0, "array '" + a.name + "': handoff link must be set");
-      require(a.split.dim == 0 && !a.split.window_fn,
-              "array '" + a.name + "': handoffs need a dim-0 affine split");
-      if (h.produce)
-        require(a.map != MapType::To,
-                "array '" + a.name + "': a produce handoff needs an output array");
-      else
-        require(a.map != MapType::From,
-                "array '" + a.name + "': a consume handoff needs an input array");
+      if (h.link < 0) require(false, "array '" + a.name + "': handoff link must be set");
+      if (a.split.dim != 0 || a.split.window_fn)
+        require(false, "array '" + a.name + "': handoffs need a dim-0 affine split");
+      if (h.produce && a.map == MapType::To)
+        require(false, "array '" + a.name + "': a produce handoff needs an output array");
+      if (!h.produce && a.map == MapType::From)
+        require(false, "array '" + a.name + "': a consume handoff needs an input array");
     }
   }
 

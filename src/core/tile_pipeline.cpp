@@ -64,18 +64,21 @@ class TileBinding final : public PlanArrayBinding {
 }  // namespace
 
 void TileArraySpec::validate() const {
-  require(host != nullptr, "tile array '" + name + "': host pointer is null");
-  require(elem_size > 0, "tile array '" + name + "': element size must be positive");
-  require(rows > 0 && cols > 0, "tile array '" + name + "': extents must be positive");
-  require(row_split.window >= 1 && col_split.window >= 1,
-          "tile array '" + name + "': windows must be >= 1");
-  require(row_split.start.scale >= 1 && col_split.start.scale >= 1,
-          "tile array '" + name + "': tile starts must be increasing");
+  // Each check builds its message only when it fails.
+  if (host == nullptr) require(false, "tile array '" + name + "': host pointer is null");
+  if (elem_size == 0)
+    require(false, "tile array '" + name + "': element size must be positive");
+  if (rows <= 0 || cols <= 0)
+    require(false, "tile array '" + name + "': extents must be positive");
+  if (row_split.window < 1 || col_split.window < 1)
+    require(false, "tile array '" + name + "': windows must be >= 1");
+  if (row_split.start.scale < 1 || col_split.start.scale < 1)
+    require(false, "tile array '" + name + "': tile starts must be increasing");
   if (map != MapType::To) {
-    require(col_split.window <= col_split.start.scale,
-            "tile array '" + name + "': output column windows may not overlap");
-    require(row_split.window <= row_split.start.scale,
-            "tile array '" + name + "': output row windows may not overlap");
+    if (col_split.window > col_split.start.scale)
+      require(false, "tile array '" + name + "': output column windows may not overlap");
+    if (row_split.window > row_split.start.scale)
+      require(false, "tile array '" + name + "': output row windows may not overlap");
   }
 }
 

@@ -50,7 +50,8 @@ class Expr {
       case Kind::Num: return value_;
       case Kind::Var: {
         auto it = env.find(name_);
-        require(it != env.end(), "directive references unbound variable '" + name_ + "'");
+        if (it == env.end())
+          require(false, "directive references unbound variable '" + name_ + "'");
         return it->second;
       }
       case Kind::Add: return lhs_->eval(env) + rhs_->eval(env);

@@ -1,6 +1,39 @@
 #include "gpu/device_profile.hpp"
 
+#include "common/key_text.hpp"
+
 namespace gpupipe::gpu {
+
+std::string profile_key(const DeviceProfile& p) {
+  using key_text::append_f64;
+  using key_text::append_i64;
+  std::string out;
+  out.reserve(p.name.size() + 1 + 21 * key_text::kMaxField);
+  out += p.name;
+  out += '|';
+  append_i64(out, static_cast<std::int64_t>(p.total_memory));
+  append_i64(out, static_cast<std::int64_t>(p.reserved_memory));
+  append_i64(out, static_cast<std::int64_t>(p.context_memory));
+  append_i64(out, static_cast<std::int64_t>(p.per_stream_memory));
+  append_f64(out, p.peak_flops);
+  append_f64(out, p.mem_bandwidth);
+  append_f64(out, p.pcie_bandwidth);
+  append_i64(out, static_cast<std::int64_t>(p.pcie_half_saturation));
+  append_i64(out, static_cast<std::int64_t>(p.pcie_row_half_saturation));
+  append_f64(out, p.pageable_penalty);
+  append_f64(out, p.copy_setup_latency);
+  append_f64(out, p.copy_segment_latency);
+  append_f64(out, p.kernel_launch_latency);
+  append_f64(out, p.api_call_host_overhead);
+  append_f64(out, p.sched_overhead_per_stream);
+  append_i64(out, p.h2d_engines);
+  append_i64(out, p.d2h_engines);
+  append_i64(out, p.unified_copy_engine ? 1 : 0);
+  append_i64(out, p.max_concurrent_kernels);
+  append_i64(out, static_cast<std::int64_t>(p.pitch_alignment));
+  append_i64(out, static_cast<std::int64_t>(p.alloc_alignment));
+  return out;
+}
 
 // Calibration notes
 // -----------------

@@ -104,6 +104,13 @@ struct DeviceProfile {
   }
 };
 
+/// The profile's canonical key text: the name, then every numeric field
+/// (common/key_text.hpp encoding, so locale-independent). Plan-cache keys
+/// and bundle tune keys start with it, so two devices share cached plans
+/// exactly when their profiles agree field for field. gpu::Gpu formats it
+/// once, in its constructor (Gpu::profile_key()).
+std::string profile_key(const DeviceProfile& p);
+
 /// NVIDIA Tesla K40m-like profile (the paper's primary platform).
 DeviceProfile nvidia_k40m();
 

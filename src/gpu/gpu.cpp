@@ -33,6 +33,7 @@ struct CheckedOp {
 
 Gpu::Gpu(DeviceProfile profile, ExecMode mode, std::shared_ptr<SharedContext> context)
     : profile_(std::move(profile)),
+      profile_key_(gpu::profile_key(profile_)),
       mode_(mode),
       ctx_(context ? std::move(context) : make_shared_context()),
       device_mem_(mode, profile_.usable_memory(), profile_.alloc_alignment,
@@ -84,7 +85,7 @@ EventPtr Gpu::record_event(Stream& s) {
   host_advance(profile_.api_call_host_overhead);
   auto marker = submit(s, *command_, 0.0, sim::SpanKind::Sync, OpLabel{"event", 0, s.name_id_},
                        0, {}, {});
-  return EventPtr(new GpuEvent(std::move(marker)));
+  return std::make_shared<GpuEvent>(GpuEvent::Key{}, std::move(marker));
 }
 
 void Gpu::wait_event(Stream& s, const EventPtr& ev) {

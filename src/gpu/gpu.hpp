@@ -78,7 +78,15 @@ class Stream {
 /// A marker recorded into a stream; complete once all prior work on that
 /// stream finished. Used for cross-stream dependencies and timing.
 class GpuEvent {
+  /// Only Gpu can name this, so only Gpu constructs events — through
+  /// std::make_shared, one allocation for the event and its count.
+  class Key {
+    friend class Gpu;
+    Key() = default;
+  };
+
  public:
+  GpuEvent(Key, sim::TaskPtr task) : task_(std::move(task)) {}
   bool complete() const { return task_->done(); }
   /// Virtual time at which the event fired (valid once complete()).
   SimTime timestamp() const { return task_->end_time(); }
@@ -94,7 +102,6 @@ class GpuEvent {
 
  private:
   friend class Gpu;
-  explicit GpuEvent(sim::TaskPtr task) : task_(std::move(task)) {}
   sim::TaskPtr task_;
 };
 using EventPtr = std::shared_ptr<GpuEvent>;
@@ -129,6 +136,9 @@ class Gpu {
   Gpu& operator=(const Gpu&) = delete;
 
   const DeviceProfile& profile() const { return profile_; }
+  /// gpu::profile_key(profile()), formatted once at construction (the
+  /// profile never changes): the prefix of every plan-cache key.
+  const std::string& profile_key() const { return profile_key_; }
   ExecMode mode() const { return mode_; }
   /// True when kernels and copies actually execute.
   bool functional() const { return mode_ == ExecMode::Functional; }
@@ -282,6 +292,7 @@ class Gpu {
   StringId intern_name(std::string_view name) { return command_->arena().intern(name); }
 
   DeviceProfile profile_;
+  std::string profile_key_;
   ExecMode mode_;
   std::shared_ptr<SharedContext> ctx_;
   std::unique_ptr<sim::Engine> h2d_;

@@ -87,17 +87,18 @@ int Scheduler::submit(Job job) {
           "scheduler jobs need the static schedule (split-phase execution)");
   const int id = static_cast<int>(jobs_.size());
   for (const JobInput& in : job.inputs) {
-    require(in.producer >= 0 && in.producer < id,
-            "job '" + job.name + "': lineage producer must be submitted first");
+    if (in.producer < 0 || in.producer >= id)
+      require(false, "job '" + job.name + "': lineage producer must be submitted first");
     bool found = false;
     for (const core::ArraySpec& a : job.spec.arrays) {
       if (a.name != in.array) continue;
       found = true;
-      require(a.map != core::MapType::From,
-              "job '" + job.name + "': consumed array '" + in.array +
-                  "' must be an input (map to/tofrom)");
+      if (a.map == core::MapType::From)
+        require(false, "job '" + job.name + "': consumed array '" + in.array +
+                           "' must be an input (map to/tofrom)");
     }
-    require(found, "job '" + job.name + "': consumes unmapped array '" + in.array + "'");
+    if (!found)
+      require(false, "job '" + job.name + "': consumes unmapped array '" + in.array + "'");
   }
   if (!job.inputs.empty()) ++lineage_jobs_;
 

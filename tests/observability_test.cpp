@@ -448,9 +448,10 @@ TEST(PlanCacheObservability, RecorderSeesDiskHitsAndCorruption) {
 
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   const auto spec = sched::make_synthetic_job(sched::synthetic_job_mix(1)[0], 0).job.spec;
-  const Bytes fp = cache.footprint(g, spec, spec.chunk_size, spec.num_streams);
+  // compile() keeps one entry, so the directory holds one file.
+  const std::size_t nodes = cache.compile(g, spec).plan->nodes.size();
   cache.clear();  // drop the memory tier; the next lookup must come from disk
-  EXPECT_EQ(cache.footprint(g, spec, spec.chunk_size, spec.num_streams), fp);
+  EXPECT_EQ(cache.compile(g, spec).plan->nodes.size(), nodes);
   int hits = 0;
   for (const auto& ev : rec.events())
     if (ev.kind == FlightEventKind::DiskHit) {
@@ -464,7 +465,7 @@ TEST(PlanCacheObservability, RecorderSeesDiskHitsAndCorruption) {
     os << "garbage";
   }
   cache.clear();
-  EXPECT_EQ(cache.footprint(g, spec, spec.chunk_size, spec.num_streams), fp);
+  EXPECT_EQ(cache.compile(g, spec).plan->nodes.size(), nodes);
   int corrupt = 0;
   for (const auto& ev : rec.events())
     if (ev.kind == FlightEventKind::DiskCorrupt) ++corrupt;

@@ -15,6 +15,7 @@
 #include "core/autotune.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan_cache.hpp"
+#include "core/plan_serialize.hpp"
 #include "gpu/device_profile.hpp"
 
 namespace gpupipe::core {
@@ -53,35 +54,59 @@ void reset_global_cache() {
   c.reset_stats();
 }
 
+// `spec` at shape (c, s): compile() plans a spec at its own shape.
+PipelineSpec at(PipelineSpec spec, std::int64_t c, int s) {
+  spec.chunk_size = c;
+  spec.num_streams = s;
+  return spec;
+}
+
+DryRunCost stencil_cost(std::int64_t plane, int live_streams) {
+  DryRunCost cost;
+  cost.flops_per_iter = static_cast<double>(plane) * 8.0;
+  cost.bytes_per_iter = static_cast<double>(plane) * 24.0;
+  cost.live_streams = live_streams;
+  return cost;
+}
+
+/// The wire bytes of a compiled plan and its report: equal bytes, equal plan.
+std::string plan_bytes(const PlanCache::Compiled& c) {
+  PlanArtifact a;
+  a.plan = *c.plan;
+  a.report = c.report;
+  return serialize_artifact(a);
+}
+
 TEST(PlanCache, HitMissAndLruEviction) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
   PlanCache cache(2);
 
-  PipelineSpec a = stencil_spec(g, 16, 64);
-  PipelineSpec b = stencil_spec(g, 24, 64);
-  PipelineSpec c = stencil_spec(g, 32, 64);
+  // compile() stores one plan| entry per shape.
+  const PipelineSpec a = at(stencil_spec(g, 16, 64), 2, 2);
+  const PipelineSpec b = at(stencil_spec(g, 24, 64), 2, 2);
+  const PipelineSpec c = at(stencil_spec(g, 32, 64), 2, 2);
 
-  const Bytes fa = cache.footprint(g, a, 2, 2);
+  const auto pa = cache.compile(g, a).plan;
   EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.footprint(g, a, 2, 2), fa);
+  EXPECT_EQ(cache.compile(g, a).plan, pa);  // the same shared plan object
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().entries, 1);
 
-  cache.footprint(g, b, 2, 2);  // fills slot 2; LRU order: b, a
-  cache.footprint(g, a, 2, 2);  // touch a back to MRU: a, b
+  cache.compile(g, b);  // fills slot 2; LRU order: b, a
+  cache.compile(g, a);  // touch a back to MRU: a, b
   EXPECT_EQ(cache.stats().hits, 2);
-  cache.footprint(g, c, 2, 2);  // evicts the LRU entry, which is now b
+  cache.compile(g, c);  // evicts the LRU entry, which is now b
   EXPECT_EQ(cache.stats().entries, 2);
   EXPECT_EQ(cache.stats().evictions, 1);
 
-  cache.footprint(g, a, 2, 2);  // a survived the eviction
+  cache.compile(g, a);  // a survived the eviction
   EXPECT_EQ(cache.stats().hits, 3);
-  cache.footprint(g, b, 2, 2);  // b did not
+  cache.compile(g, b);  // b did not
   EXPECT_EQ(cache.stats().misses, 4);
 
   // Different shape, different key.
-  cache.footprint(g, a, 4, 2);
+  cache.compile(g, at(a, 4, 2));
   EXPECT_EQ(cache.stats().misses, 5);
 }
 
@@ -89,9 +114,10 @@ TEST(PlanCache, CapacityZeroDisables) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
   PlanCache cache(0);
-  PipelineSpec a = stencil_spec(g, 16, 64);
-  const Bytes direct = predicted_pipeline_footprint(g, a, 2, 2);
-  EXPECT_EQ(cache.footprint(g, a, 2, 2), direct);
+  const PipelineSpec a = at(stencil_spec(g, 16, 64), 2, 2);
+  const DryRunCost cost = stencil_cost(64, 2);
+  const SimTime direct = dry_run(*cache.compile(g, a).plan, g.profile(), cost).makespan;
+  EXPECT_EQ(cache.estimate(g, a, cost), direct);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().hits, 0);
@@ -102,10 +128,7 @@ TEST(PlanCache, SetCapacityEvictsDown) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
   PlanCache cache(8);
-  for (std::int64_t nz : {16, 24, 32, 40}) {
-    PipelineSpec s = stencil_spec(g, nz, 64);
-    cache.footprint(g, s, 2, 2);
-  }
+  for (std::int64_t nz : {16, 24, 32, 40}) cache.compile(g, at(stencil_spec(g, nz, 64), 2, 2));
   EXPECT_EQ(cache.stats().entries, 4);
   cache.set_capacity(1);
   EXPECT_EQ(cache.stats().entries, 1);
@@ -189,9 +212,11 @@ TEST(PlanCache, WindowFnAndAdaptiveSpecsBypass) {
 
   // A bypassing spec still computes (and stores nothing).
   PlanCache cache(4);
-  const Bytes direct = predicted_pipeline_footprint(g, fn, 2, 2);
-  EXPECT_EQ(cache.footprint(g, fn, 2, 2), direct);
+  const DryRunCost cost = stencil_cost(64, 2);
+  const SimTime direct = dry_run(*cache.compile(g, fn).plan, g.profile(), cost).makespan;
+  EXPECT_EQ(cache.estimate(g, fn, cost), direct);
   EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_GT(predicted_pipeline_footprint(g, fn, 2, 2), 0u);
 }
 
 TEST(PlanCache, CachedResultsMatchDirectComputation) {
@@ -202,13 +227,10 @@ TEST(PlanCache, CachedResultsMatchDirectComputation) {
   spec.chunk_size = 4;
   spec.num_streams = 3;
 
-  EXPECT_EQ(cache.footprint(g, spec, 4, 3), predicted_pipeline_footprint(g, spec, 4, 3));
-
-  DryRunCost cost;
-  cost.flops_per_iter = 256.0 * 8.0;
-  cost.bytes_per_iter = 256.0 * 24.0;
-  cost.live_streams = 3;
   PlanCache::Compiled compiled = cache.compile(g, spec);
+  EXPECT_EQ(plan_bytes(compiled), plan_bytes(PlanCache(0).compile(g, spec)));
+
+  const DryRunCost cost = stencil_cost(256, 3);
   const DryRunResult direct = dry_run(*compiled.plan, g.profile(), cost);
   EXPECT_EQ(cache.estimate(g, spec, cost), direct.makespan);
   // Second estimate is a pure lookup of the identical value.
@@ -274,13 +296,43 @@ TEST(PlanCache, ConcurrentEnqueuesProveTheSharedPlan) {
   reset_global_cache();
 }
 
+// The footprint the memory solver and admission read is computed, never
+// memoized: no call touches the cache, and it equals what a Pipeline at that
+// shape allocates.
+TEST(PlanCache, PredictedFootprintMakesNoLookupAndMatchesThePipeline) {
+  reset_global_cache();
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.hazards().set_enabled(false);
+  const std::vector<PipelineSpec> specs = {stencil_spec(g, 40, 256),
+                                           stencil_spec(g, 64, 96, /*pinned=*/false)};
+  for (const PipelineSpec& spec : specs) {
+    for (std::int64_t c : {1, 3, 8, 64}) {
+      for (int s : {1, 2, 4}) {
+        const PlanCacheStats before = PlanCache::instance().stats();
+        const Bytes predicted = predicted_pipeline_footprint(g, spec, c, s);
+        const SolvedShape solved = solve_pipeline_shape(g, spec, predicted);
+        const PlanCacheStats after = PlanCache::instance().stats();
+        EXPECT_EQ(after.hits, before.hits);
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(after.entries, before.entries);
+        EXPECT_EQ(solved.footprint, predicted_pipeline_footprint(g, spec, solved.chunk_size,
+                                                                 solved.num_streams));
+
+        const Pipeline p(g, at(spec, c, s));
+        EXPECT_EQ(p.buffer_footprint(), predicted) << "chunk " << c << ", streams " << s;
+      }
+    }
+  }
+  reset_global_cache();
+}
+
 TEST(PlanCache, MetricsExportMatchesStats) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
   PlanCache cache(4);
-  PipelineSpec a = stencil_spec(g, 16, 64);
-  cache.footprint(g, a, 2, 2);
-  cache.footprint(g, a, 2, 2);
+  const PipelineSpec a = at(stencil_spec(g, 16, 64), 2, 2);
+  cache.compile(g, a);
+  cache.compile(g, a);
 
   telemetry::Registry reg;
   cache.collect_metrics(reg);
@@ -308,15 +360,12 @@ TEST(PlanCache, ConcurrentReadersAgreeWithSerial) {
     s.num_streams = 2;
     specs.push_back(s);
   }
-  DryRunCost cost;
-  cost.flops_per_iter = 128.0 * 8.0;
-  cost.bytes_per_iter = 128.0 * 24.0;
-  cost.live_streams = 2;
+  const DryRunCost cost = stencil_cost(128, 2);
 
-  std::vector<Bytes> want_fp;
+  std::vector<std::string> want_plan;
   std::vector<SimTime> want_est;
   for (const auto& s : specs) {
-    want_fp.push_back(PlanCache::instance().footprint(g, s, 2, 2));
+    want_plan.push_back(plan_bytes(PlanCache::instance().compile(g, s)));
     want_est.push_back(PlanCache::instance().estimate(g, s, cost));
   }
 
@@ -327,9 +376,9 @@ TEST(PlanCache, ConcurrentReadersAgreeWithSerial) {
     pool.emplace_back([&] {
       for (int r = 0; r < 20; ++r) {
         for (std::size_t i = 0; i < specs.size(); ++i) {
-          if (PlanCache::instance().footprint(g, specs[i], 2, 2) != want_fp[i])
-            mismatches.fetch_add(1);
           if (PlanCache::instance().estimate(g, specs[i], cost) != want_est[i])
+            mismatches.fetch_add(1);
+          if (plan_bytes(PlanCache::instance().compile(g, specs[i])) != want_plan[i])
             mismatches.fetch_add(1);
         }
       }
@@ -337,10 +386,10 @@ TEST(PlanCache, ConcurrentReadersAgreeWithSerial) {
   }
   for (auto& th : pool) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  // Three memos per spec: footprint, the estimate, and the compiled plan
-  // the estimate's miss path built.
+  // Two memos per spec: the estimate, and the compiled plan the estimate's
+  // miss path built (and compile() then hit).
   const PlanCacheStats s = PlanCache::instance().stats();
-  EXPECT_EQ(s.entries, static_cast<std::int64_t>(3 * specs.size()));
+  EXPECT_EQ(s.entries, static_cast<std::int64_t>(2 * specs.size()));
   EXPECT_GT(s.hits, 0);
   reset_global_cache();
 }
@@ -511,11 +560,15 @@ TEST(PlanCache, FingerprintIsLocaleIndependent) {
   std::ostringstream probe;
   probe << 1234.5;
   const std::string comma_locale_key = PlanCache::fingerprint(g, spec, 4, 2);
+  // A device constructed under the comma locale formats its profile text
+  // then, and must format the same text.
+  const gpu::Gpu comma_device(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   std::locale::global(saved_global);  // also resets the C locale: restore it after
   std::setlocale(LC_NUMERIC, saved.c_str());
   ASSERT_EQ(probe.str(), "1.234,5") << "the comma facet must be in effect";
   EXPECT_EQ(comma_locale_key, c_locale_key);
   EXPECT_EQ(comma_locale_key.find(','), std::string::npos);
+  EXPECT_EQ(comma_device.profile_key(), g.profile_key());
 }
 
 }  // namespace

@@ -100,6 +100,14 @@ PlanArtifact make_plan_artifact(gpu::Gpu& g, PlanCache& cache,
   return a;
 }
 
+/// The wire bytes of a compiled plan and its report: equal bytes, equal plan.
+std::string plan_bytes(const PlanCache::Compiled& c) {
+  PlanArtifact a;
+  a.plan = *c.plan;
+  a.report = c.report;
+  return serialize_artifact(a);
+}
+
 TEST(PlanSerialize, PlanArtifactRoundTripIsByteExact) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
@@ -151,17 +159,18 @@ TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
   t.key = tune_artifact_key(gpu::nvidia_k40m(), "stencil/large");
   t.tune = tune;
 
-  PlanArtifact fp;
-  fp.kind = ArtifactKind::Footprint;
-  fp.key = "fp|test";
-  fp.footprint = 123456789;
-
   PlanArtifact est;
   est.kind = ArtifactKind::Estimate;
   est.key = "est|test";
   est.estimate = 7.5e-4;
 
-  for (const PlanArtifact* a : {&t, &fp, &est}) {
+  // An estimate at the edge of the f64 range rides the same bit pattern.
+  PlanArtifact tiny;
+  tiny.kind = ArtifactKind::Estimate;
+  tiny.key = "est|tiny";
+  tiny.estimate = std::numeric_limits<SimTime>::denorm_min();
+
+  for (const PlanArtifact* a : {&t, &tiny, &est}) {
     const std::string bytes = serialize_artifact(*a);
     PlanArtifact out;
     std::string error;
@@ -169,6 +178,7 @@ TEST(PlanSerialize, TuneAndScalarArtifactsRoundTrip) {
     EXPECT_EQ(out.kind, a->kind);
     EXPECT_EQ(out.key, a->key);
     EXPECT_EQ(serialize_artifact(out), bytes);
+    EXPECT_EQ(out.estimate, a->estimate);
     if (a == &t) {
       ASSERT_EQ(out.tune.explored.size(), 4u);
       EXPECT_TRUE(out.tune.explored[3].pruned());
@@ -245,13 +255,17 @@ TEST(PlanSerialize, DeserializeRejectsEveryMutation) {
   EXPECT_FALSE(
       deserialize_artifact(patch_u32(bytes, 4, kPlanFormatVersion + 1), out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
-  // So is the previous version: v3 records carried pass wall times.
+  // So is the previous version: v5 records include footprint records.
   EXPECT_FALSE(
       deserialize_artifact(patch_u32(bytes, 4, kPlanFormatVersion - 1), out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
   EXPECT_FALSE(deserialize_artifact(patch_u32(bytes, 0, 0xdeadbeefu), out, &error));
-  // Unknown artifact kind (offset 8) with a valid checksum.
-  EXPECT_FALSE(deserialize_artifact(patch_u32(bytes, 8, 99), out, &error));
+  // Unknown artifact kinds (offset 8) with a valid checksum, the retired
+  // footprint kind 2 among them.
+  for (std::uint32_t kind : {0u, 2u, 99u}) {
+    EXPECT_FALSE(deserialize_artifact(patch_u32(bytes, 8, kind), out, &error)) << kind;
+    EXPECT_NE(error.find("invalid artifact kind"), std::string::npos) << error;
+  }
   // The untouched original still parses — the harness above is not vacuous.
   EXPECT_TRUE(deserialize_artifact(bytes, out, &error)) << error;
 }
@@ -270,16 +284,16 @@ TEST(PlanSerialize, DiskTierSurvivesCorruptEntries) {
   cost.flops_per_iter = 100.0;
   cost.bytes_per_iter = 64.0;
 
-  const Bytes fp = cache.footprint(g, spec, 4, 2);
+  const std::string plan = plan_bytes(cache.compile(g, spec));
   const SimTime est = cache.estimate(g, spec, cost);
   ASSERT_GT(cache.stats().disk_writes, 0u);
   const auto files = plan_files(dir);
-  ASSERT_GE(files.size(), 3u);  // fp + plan + est at minimum
+  ASSERT_EQ(files.size(), 2u);  // plan + est
 
   // Warm disk, cold memory: every lookup is a memory miss served from disk.
   cache.clear();
   cache.reset_stats();
-  EXPECT_EQ(cache.footprint(g, spec, 4, 2), fp);
+  EXPECT_EQ(plan_bytes(cache.compile(g, spec)), plan);
   EXPECT_EQ(cache.estimate(g, spec, cost), est);
   EXPECT_EQ(cache.stats().disk_corrupt, 0u);
   EXPECT_GE(cache.stats().disk_hits, 2u);
@@ -290,7 +304,7 @@ TEST(PlanSerialize, DiskTierSurvivesCorruptEntries) {
   for (const auto& f : files) fs::resize_file(f, fs::file_size(f) / 2);
   cache.clear();
   cache.reset_stats();
-  EXPECT_EQ(cache.footprint(g, spec, 4, 2), fp);
+  EXPECT_EQ(plan_bytes(cache.compile(g, spec)), plan);
   EXPECT_EQ(cache.estimate(g, spec, cost), est);
   EXPECT_GE(cache.stats().disk_corrupt, 2u);
   EXPECT_EQ(cache.stats().disk_hits, 0u);
@@ -308,7 +322,7 @@ TEST(PlanSerialize, DiskTierSurvivesCorruptEntries) {
   }
   cache.clear();
   cache.reset_stats();
-  EXPECT_EQ(cache.footprint(g, spec, 4, 2), fp);
+  EXPECT_EQ(plan_bytes(cache.compile(g, spec)), plan);
   EXPECT_EQ(cache.estimate(g, spec, cost), est);
   EXPECT_GE(cache.stats().disk_corrupt, 2u);
 
@@ -322,7 +336,7 @@ TEST(PlanSerialize, DiskTierSurvivesCorruptEntries) {
     spill(fresh[i], patch_u32(slurp(fresh[i]), 4, kPlanFormatVersion + 1));
   cache.clear();
   cache.reset_stats();
-  EXPECT_EQ(cache.footprint(g, spec, 4, 2), fp);
+  EXPECT_EQ(plan_bytes(cache.compile(g, spec)), plan);
   EXPECT_EQ(cache.estimate(g, spec, cost), est);
   EXPECT_GE(cache.stats().disk_corrupt, 2u);
   fs::remove_all(dir);
@@ -336,10 +350,11 @@ TEST(PlanSerialize, SwappedDiskEntriesAreNeverServed) {
   cache.set_disk_dir(dir.string());
 
   PipelineSpec a = fig7_spec(g, 32, 128);
-  PipelineSpec b = fig7_spec(g, 32, 512);  // wider planes: a larger footprint
-  const Bytes fpa = cache.footprint(g, a, 4, 2);
-  const Bytes fpb = cache.footprint(g, b, 4, 2);
-  ASSERT_NE(fpa, fpb);
+  PipelineSpec b = fig7_spec(g, 32, 512);  // wider planes: different transfer bytes
+  a.chunk_size = b.chunk_size = 4;
+  const std::string plan_a = plan_bytes(cache.compile(g, a));
+  const std::string plan_b = plan_bytes(cache.compile(g, b));
+  ASSERT_NE(plan_a, plan_b);
 
   // Swap the two files on disk: each now holds a record whose embedded key
   // disagrees with the key it is looked up under. The echo check must treat
@@ -354,10 +369,75 @@ TEST(PlanSerialize, SwappedDiskEntriesAreNeverServed) {
 
   cache.clear();
   cache.reset_stats();
-  EXPECT_EQ(cache.footprint(g, a, 4, 2), fpa);
-  EXPECT_EQ(cache.footprint(g, b, 4, 2), fpb);
+  EXPECT_EQ(plan_bytes(cache.compile(g, a)), plan_a);
+  EXPECT_EQ(plan_bytes(cache.compile(g, b)), plan_b);
   EXPECT_EQ(cache.stats().disk_hits, 0u);
   EXPECT_EQ(cache.stats().disk_corrupt, 2u);
+  fs::remove_all(dir);
+}
+
+// Entry keys keep the text format-5 binaries wrote (taken from one): the
+// profile text each device formats once, the spec's fields, and an
+// estimate's cost terms, so keying changes no bundle or cache file name.
+TEST(PlanSerialize, Fig4KeysOnTheK40mKeepTheirText) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.hazards().set_enabled(false);
+  PipelineSpec spec = fig4_spec(g, 64, 64);
+  spec.chunk_size = 8;
+  spec.num_streams = 2;
+  const std::string profile =
+      "NVIDIA Tesla K40m (simulated)|12884901888|3019898880|75497472|6291456|"
+      "1.4cf2a45cp+40|1.0c388dp+38|1.65a0bcp+32|262144|2048|1.199999999999ap-1|"
+      "1.0c6f7a0b5ed8dp-17|1.ad7f29abcaf48p-24|1.0c6f7a0b5ed8dp-17|1.0c6f7a0b5ed8dp-18|"
+      "1.0c6f7a0b5ed8dp-20|1|1|1|1|512|256|";
+  const std::string fingerprint = profile + "1|0|64|8|2|data|2|8|64|64|;0|1|0|1|1|";
+  EXPECT_EQ(g.profile_key(), profile);
+  EXPECT_EQ(PlanCache::fingerprint(g, spec, 8, 2), fingerprint);
+  EXPECT_EQ(tune_artifact_key(g.profile(), "stream/small"),
+            "tune|" + profile + "stream/small");
+
+  PlanCache cache(8);
+  DryRunCost cost;
+  cost.flops_per_iter = 128.0;
+  cost.bytes_per_iter = 1024.0;
+  cost.live_streams = 2;
+  cache.estimate(g, spec, cost);
+  PlanBundle bundle;
+  cache.export_bundle(bundle);
+  ASSERT_EQ(bundle.artifacts.size(), 2u);
+  EXPECT_EQ(bundle.artifacts[0].key, "plan|" + fingerprint);
+  EXPECT_EQ(bundle.artifacts[1].key, "est|" + fingerprint + "1p+7|1p+10|0p+0|2|");
+}
+
+// Format 6 retired the footprint record (kind 2), so format-5 bundles,
+// which may hold one, are skipped whole, and compaction clears format-5
+// files out of a cache directory.
+TEST(PlanSerialize, FormatFiveRecordsAndBundlesAreRejected) {
+  ASSERT_EQ(kPlanFormatVersion, 6u);
+  PlanArtifact est;
+  est.kind = ArtifactKind::Estimate;
+  est.key = "est|v5";
+  est.estimate = 1.0;
+  const std::string record = serialize_artifact(est);
+  std::string error;
+
+  PlanBundle bundle;
+  bundle.artifacts.push_back(est);
+  const std::string bytes = serialize_bundle(bundle);
+  PlanBundle bundle_out;
+  ASSERT_TRUE(deserialize_bundle(bytes, bundle_out, &error)) << error;
+  EXPECT_FALSE(deserialize_bundle(patch_u32(bytes, 4, 5), bundle_out, &error));
+  EXPECT_NE(error.find("bundle version skew (5)"), std::string::npos) << error;
+
+  const fs::path dir = fresh_dir("plan_serialize_v5");
+  spill(dir / "0000000000000005.plan", patch_u32(record, 4, 5));
+  spill(dir / "0000000000000006.plan", record);
+  PlanCache cache(4);
+  cache.set_disk_dir(dir.string());
+  const PlanCache::CompactionReport rep = cache.compact_disk();
+  EXPECT_EQ(rep.removed_stale, 1);
+  EXPECT_EQ(rep.kept, 1);
+  EXPECT_FALSE(fs::exists(dir / "0000000000000005.plan"));
   fs::remove_all(dir);
 }
 
@@ -376,14 +456,18 @@ TEST(PlanSerialize, BundleLoadSkipsForeignAndTuneRecords) {
   tune.key = tune_artifact_key(g.profile(), "stream/small");
   bundle.artifacts.push_back(tune);
   PlanArtifact foreign;
-  foreign.kind = ArtifactKind::Footprint;
+  foreign.kind = ArtifactKind::Estimate;
   foreign.key = "not-a-cache-key";
-  foreign.footprint = 7;
+  foreign.estimate = 7.0;
   bundle.artifacts.push_back(foreign);
+  PlanArtifact mislabelled = foreign;  // an estimate under a plan key
+  mislabelled.key = "plan|" + PlanCache::fingerprint(g, spec, 4, 2);
+  bundle.artifacts.push_back(mislabelled);
 
   PlanCache cache(8);
-  // Only the plan entry is admissible: Tune records carry no cache entry
-  // and the foreign key has no recognised prefix.
+  // Only the plan entry is admissible: Tune records carry no cache entry,
+  // the foreign key has no recognised prefix, and a key's prefix must name
+  // its record's kind.
   EXPECT_EQ(cache.load_bundle(bundle), 1u);
   cache.reset_stats();
   const PlanCache::Compiled built = cache.compile(g, spec);

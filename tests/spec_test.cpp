@@ -1,6 +1,8 @@
 // Unit tests for the pipeline specification types and their validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/spec.hpp"
 
 namespace gpupipe::core {
@@ -88,6 +90,40 @@ TEST(ArraySpec, ValidationCatchesEachDefect) {
     EXPECT_THROW(a.validate(), Error);
   }
   EXPECT_NO_THROW(valid_array().validate());
+}
+
+// validate() builds each message only when its check fails; the text a
+// failure reports (everything before the " [file:line]" suffix) is the one
+// the eager checks reported.
+TEST(ArraySpec, ValidationMessagesKeepTheirText) {
+  auto message = [](const ArraySpec& a) -> std::string {
+    try {
+      a.validate();
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      return what.substr(0, what.find(" ["));
+    }
+    return "no error";
+  };
+  ArraySpec a = valid_array();
+  a.name = "data";
+  a.host = nullptr;
+  EXPECT_EQ(message(a), "invalid argument: array 'data': host pointer is null");
+  a = valid_array();
+  a.name = "data";
+  a.map = MapType::ToFrom;
+  a.split.window = 2;
+  EXPECT_EQ(message(a),
+            "invalid argument: array 'data': output split window may not overlap between "
+            "iterations");
+  a = valid_array();
+  a.name = "data";
+  a.split.dim = 1;
+  a.dims = {4, 64, 64};
+  EXPECT_EQ(message(a),
+            "invalid argument: array 'data': prototype supports splitting dimension 0 "
+            "(slabs) or dimension 1 of a 2-D array (column blocks)");
+  EXPECT_EQ(message(valid_array()), "no error");
 }
 
 TEST(ArraySpec, OutputWindowMayEqualScale) {

@@ -5,11 +5,10 @@
 // every restart. This tool does the work once, offline: it reads a job mix
 // (or the built-in default mix), dry-run autotunes each distinct app/size
 // template, plans it at the tuned shape, and serializes everything — the
-// compiled+optimized ExecutionPlans, predicted footprints, dry-run
-// estimates, and the TuneResults themselves — into one versioned bundle
-// file that `gpupipe_serve --bundle` loads at startup. All of it is pure
-// cost-model arithmetic on a Modeled-mode device: nothing executes, nothing
-// is allocated.
+// compiled+optimized ExecutionPlans, dry-run estimates, and the TuneResults
+// themselves — into one versioned bundle file that `gpupipe_serve --bundle`
+// loads at startup. All of it is pure cost-model arithmetic on a
+// Modeled-mode device: nothing executes, nothing is allocated.
 //
 // The bundle's cache artifacts are keyed by the same canonical fingerprint
 // the plan cache uses (device profile + spec shape), so a bundle compiled
@@ -23,10 +22,11 @@
 //
 // --cap mirrors gpupipe_serve's admission cap so shapes are solved under
 // the same budget the fleet will use. --no-tune keeps each template's
-// declared shape (plan-only bundle). --cache-dir additionally writes every
-// computed artifact into a persistent plan-cache directory (the same tier
-// GPUPIPE_PLAN_CACHE_DIR enables in the serving process). -o defaults to
-// plan_bundle.gpb.
+// declared shape (plan-only bundle). --cache-dir additionally writes the
+// bundle's plan and estimate artifacts into a persistent plan-cache
+// directory (the same tier GPUPIPE_PLAN_CACHE_DIR enables in the serving
+// process); the tuning sweeps' throwaway candidates stay out of it. -o
+// defaults to plan_bundle.gpb.
 //
 // --compact is a maintenance mode: instead of compiling, it garbage-
 // collects the --cache-dir directory — quarantined corpses, version-skewed
@@ -173,7 +173,12 @@ int main(int argc, char** argv) {
     // Phase 1: one dry-run autotune per distinct app/size template (the mix
     // repeats them; the fingerprint depends on the template, not the
     // instance). The sweep floods the cache with hundreds of throwaway
-    // candidate-shape entries, so the bundle is NOT exported from this state.
+    // candidate-shape entries, so the bundle is NOT exported from this state,
+    // and the disk tier is off: a candidate's estimate file on disk would let
+    // phase 2 hit it without ever loading that shape's plan into the memory
+    // tier, and the bundle would ship without the plan serve needs.
+    const std::string disk_dir = cache.disk_dir();
+    cache.set_disk_dir("");
     std::map<std::string, TemplateResult> templates;
     for (std::size_t i = 0; i < mix.size(); ++i) {
       const std::string name = mix[i].app + "/" + mix[i].size;
@@ -200,12 +205,13 @@ int main(int argc, char** argv) {
 
     // Phase 2: drop the sweep's leftovers, then warm the cache exactly the
     // way the scheduler will read it — one estimate per template at its
-    // final shape, which solves the shape under the admission cap and
-    // populates the footprint, compiled-plan, and estimate entries the serve
-    // process looks up. Without the clear() the tune sweeps of later
-    // templates evict earlier templates' real artifacts from the LRU tier
-    // and the exported bundle misses in production.
+    // final shape, which solves the shape under the admission cap, and the
+    // plan at that solved shape: the estimate and compiled-plan entries the
+    // serve process looks up (also written to --cache-dir). Without the clear() the
+    // tune sweeps of later templates evict earlier templates' real artifacts
+    // from the LRU tier and the exported bundle misses in production.
     cache.clear();
+    cache.set_disk_dir(disk_dir);
     cache.set_capacity(std::max(cache.capacity(), templates.size() * 64));
     for (std::size_t i = 0; i < mix.size(); ++i) {
       const std::string name = mix[i].app + "/" + mix[i].size;
@@ -220,8 +226,15 @@ int main(int argc, char** argv) {
       cost.flops_per_iter = job.flops_per_iter;
       cost.bytes_per_iter = job.bytes_per_iter;
       tr.estimate = core::estimate_pipeline_runtime(g, job.spec, cost, cap);
-      tr.chunk_size = job.spec.chunk_size;
-      tr.num_streams = job.spec.num_streams;
+      // An estimate read back from --cache-dir leaves its plan on disk: load
+      // the plan at the solved shape too, so the bundle carries it whatever
+      // the directory held before.
+      const Bytes free = g.device_mem_free();
+      const core::SolvedShape solved =
+          core::solve_pipeline_shape(g, job.spec, cap == 0 ? free : std::min(cap, free));
+      job.spec.chunk_size = solved.chunk_size;
+      job.spec.num_streams = solved.num_streams;
+      cache.compile(g, job.spec);
     }
 
     core::PlanBundle bundle;

@@ -46,13 +46,14 @@
 // parallel workers (0 = one per hardware thread), and submits each job at
 // its tuned shape.
 //
-// --bundle FILE loads a `gpupipe_compile` AOT bundle at startup: its plan /
-// footprint / estimate artifacts pre-warm the plan cache and its tuned
-// shapes are applied to matching job templates (unless --tune-jobs re-tunes
-// live), so a fresh replica starts hot. --cache-dir DIR enables the plan
-// cache's persistent on-disk tier (same as GPUPIPE_PLAN_CACHE_DIR): misses
-// fall through memory -> disk -> compute and computed plans are written
-// back for the next process.
+// --bundle FILE loads a `gpupipe_compile` AOT bundle at startup: its plan
+// and estimate artifacts pre-warm the plan cache and its tuned shapes are
+// applied to matching job templates (unless --tune-jobs re-tunes live), so
+// a fresh replica starts hot. The solo baseline runs each job at the shape
+// it was submitted at, bundled or tuned, so the cached plans serve it too.
+// --cache-dir DIR enables the plan cache's persistent on-disk tier (same as
+// GPUPIPE_PLAN_CACHE_DIR): misses fall through memory -> disk -> compute
+// and computed plans are written back for the next process.
 //
 // --devices takes either a count N (N copies of --profile) or a
 // comma-separated profile list ("k40m,k40m,hd7970") for a heterogeneous
@@ -164,10 +165,13 @@ int usage() {
 
 /// Solo baseline: each job alone on a fresh single-device machine with the
 /// same profile (fresh host arrays, so the scheduled run's outputs are
-/// untouched).
+/// untouched), at the shape it was served at — a bundled or tuned shape,
+/// not the mix line's.
 SimTime solo_runtime(const sched::JobMixLine& line, int index,
-                     const gpu::DeviceProfile& profile) {
+                     const gpu::DeviceProfile& profile, const core::PipelineSpec& served) {
   sched::ServeJob sj = sched::make_serve_job(line, index);
+  sj.job.spec.chunk_size = served.chunk_size;
+  sj.job.spec.num_streams = served.num_streams;
   gpu::Gpu g(profile, gpu::ExecMode::Functional);
   core::Pipeline p(g, sj.job.spec);
   const SimTime t0 = g.host_now();
@@ -411,8 +415,8 @@ int main(int argc, char** argv) {
 
     const gpu::DeviceProfile profile = tools::profile_by_name(opt.profile);
 
-    // AOT bundle preload: plan/footprint/estimate artifacts go straight
-    // into the plan cache's memory tier; tuned shapes are collected per job
+    // AOT bundle preload: plan and estimate artifacts go straight into the
+    // plan cache's memory tier; tuned shapes are collected per job
     // template, keyed under this device profile (a bundle compiled for a
     // different device contributes nothing).
     std::map<std::string, std::pair<std::int64_t, int>> bundled;
@@ -557,11 +561,10 @@ int main(int argc, char** argv) {
     SimTime sum_solo = 0.0;
     if (opt.solo)
       for (std::size_t i = 0; i < mix.size(); ++i)
-        sum_solo += solo_runtime(mix[i], static_cast<int>(i), profile);
+        sum_solo += solo_runtime(mix[i], static_cast<int>(i), profile, jobs[i].job.spec);
 
     telemetry::Registry reg;
-    scheduler.collect_metrics(reg);
-    core::PlanCache::instance().collect_metrics(reg);
+    scheduler.collect_metrics(reg);  // includes the plan_cache.* namespace
     if (opt.json)
       print_json(rep, sum_solo, reg, opt, h2d_total, d2h_total);
     else
