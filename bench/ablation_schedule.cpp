@@ -3,9 +3,10 @@
 //
 // A deliberately bad static chunk size (1 iteration) on a fine-grained
 // workload wastes time on per-chunk overheads and sub-saturation transfers;
-// the adaptive schedule probes the first chunk, models per-chunk costs, and
-// re-chunks the remaining iterations. This bench compares static chunk
-// sizes against the adaptive pick across workload granularities.
+// the adaptive schedule probes the first chunk, then re-chunks the remaining
+// iterations at the autotuner's replay-sweep pick for the probe's kernel
+// time. This bench compares static chunk sizes against the adaptive pick
+// across workload granularities.
 #include "bench/bench_util.hpp"
 #include "bench/workloads.hpp"
 #include "core/pipeline.hpp"

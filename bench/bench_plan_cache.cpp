@@ -272,7 +272,6 @@ TuneTiming measure_tune() {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Functional);
   quiet(g);
   core::TuneOptions topt;
-  topt.dry_run = true;
   topt.kernel_cost =
       core::KernelCostHint{sj.job.flops_per_iter, sj.job.bytes_per_iter};
 

@@ -95,20 +95,15 @@ ScaleResult run_scale(int jobs) {
   trace.reserve(total_tasks);
   sim.reserve_events(total_tasks);
 
-  // Labels interned once up front (both tables), the way serve's plan-cached
-  // hot path does — task creation then never hashes a string.
-  sim::TaskArena& arena = h2d.arena();
-  struct Label {
-    StringId task, span;
-  };
-  auto label = [&](const char* s) { return Label{arena.intern(s), trace.intern(s)}; };
-  const Label l_h2d = label("h2d[4096B]"), l_kernel = label("kernel"),
-              l_event = label("event"), l_d2h = label("d2h[4096B]");
+  // Span labels interned once up front, the way serve's plan-cached hot
+  // path does — task creation then never hashes a string.
+  const StringId l_h2d = trace.intern("h2d[4096B]"), l_kernel = trace.intern("kernel"),
+                 l_event = trace.intern("event"), l_d2h = trace.intern("d2h[4096B]");
 
-  auto traced = [&](Engine& eng, SimTime dur, Label l, SpanKind kind, StringId lane,
+  auto traced = [&](Engine& eng, SimTime dur, StringId label, SpanKind kind, StringId lane,
                     Bytes bytes) {
-    auto t = Task::create(eng, dur, l.task);
-    t->set_span(trace, kind, lane, l.span, bytes, -1);
+    auto t = Task::create(eng, dur);
+    t->set_span(trace, kind, lane, label, bytes, -1);
     return t;
   };
 

@@ -1,8 +1,8 @@
 // Minimal leveled logging.
 //
 // The runtime makes silent policy decisions (shrinking a chunk size to meet
-// a memory limit, re-chunking adaptively, pruning autotune candidates);
-// at Level::Debug those decisions become visible. The sink is replaceable
+// a memory limit, re-chunking adaptively); at Level::Debug those decisions
+// become visible. The sink is replaceable
 // so tests can capture output; the default sink is stderr. Logging is
 // process-global and not thread-safe by design — the simulator is
 // single-threaded.

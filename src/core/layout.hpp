@@ -1,7 +1,7 @@
 // Shared chunk/ring layout arithmetic.
 //
-// The 1-D pipeline, the 2-D tile pipeline, the cost model, and the plan
-// builder all need the same small set of layout computations: alignment
+// The 1-D pipeline, the 2-D tile pipeline, the replay lower bound, and the
+// plan builder all need the same small set of layout computations: alignment
 // round-up, per-split-index byte counts, ring-length sizing (how many split
 // indices a device ring must hold so no in-flight chunk's window is
 // overwritten), ring-segment enumeration (wrap decomposition of an index

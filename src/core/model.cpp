@@ -1,9 +1,9 @@
 #include "core/model.hpp"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 
-#include "core/buffer.hpp"
 #include "core/layout.hpp"
 
 namespace gpupipe::core {
@@ -15,74 +15,11 @@ bool is_output(MapType m) { return m == MapType::From || m == MapType::ToFrom; }
 
 }  // namespace
 
-CostModel::CostModel(const gpu::DeviceProfile& profile, const PipelineSpec& spec,
-                     SimTime per_iter_kernel)
-    : profile_(profile), spec_(spec), per_iter_kernel_(per_iter_kernel) {
-  require(supports(spec), "the cost model supports affine splits only");
-}
-
-bool CostModel::supports(const PipelineSpec& spec) {
-  return std::none_of(spec.arrays.begin(), spec.arrays.end(),
-                      [](const ArraySpec& a) { return static_cast<bool>(a.split.window_fn); });
-}
-
-ChunkCost CostModel::chunk_cost(std::int64_t c) const {
-  ChunkCost cost;
-  for (const auto& a : spec_.arrays) {
-    const bool in = a.map == MapType::To || a.map == MapType::ToFrom;
-    const bool out = a.map == MapType::From || a.map == MapType::ToFrom;
-    // Steady state with halo reuse on: each chunk brings scale*c
-    // new split indices (the halo stays resident from earlier chunks).
-    // Unoptimized plans re-upload the halo with every chunk.
-    std::int64_t steady = a.split.start.scale * c;
-    if (spec_.opt_level < 1) steady += layout::halo(a.split.window, a.split.start.scale);
-    const Bytes bytes = static_cast<Bytes>(steady) * layout::unit_bytes(a);
-    Bytes row_width = bytes;  // contiguous slab transfers
-    if (a.split.dim != 0) row_width = static_cast<Bytes>(steady) * a.elem_size;
-    const SimTime t =
-        profile_.copy_setup_latency +
-        static_cast<double>(bytes) / profile_.transfer_bandwidth(bytes, row_width, true);
-    if (in) cost.copy_in += t;
-    if (out) cost.copy_out += t;
-  }
-  cost.kernel = profile_.kernel_launch_latency + per_iter_kernel_ * static_cast<double>(c);
-  // Copies + kernel + ~3 events + ~2 waits per chunk.
-  cost.host = 8.0 * profile_.api_call_host_overhead;
-  return cost;
-}
-
-SimTime CostModel::region_time(std::int64_t c) const {
-  const ChunkCost cost = chunk_cost(c);
-  const std::int64_t n = ceil_div(spec_.iterations(), c);
-  const SimTime bottleneck = profile_.unified_copy_engine ? cost.bottleneck_unified()
-                                                          : cost.bottleneck_split();
-  // First chunk's copy-in and last chunk's copy-out cannot overlap anything;
-  // the interior runs at the bottleneck rate.
-  return cost.copy_in + cost.kernel + cost.copy_out +
-         static_cast<double>(n - 1) * bottleneck;
-}
-
-std::int64_t CostModel::best_chunk(const gpu::Gpu& g, Bytes mem_limit, int streams) const {
-  std::int64_t best_c = 1;
-  SimTime best_t = region_time(1);
-  for (std::int64_t c = 2; c <= spec_.iterations(); c *= 2) {
-    Bytes fp = 0;
-    for (const auto& a : spec_.arrays)
-      fp += RingBuffer::predict_footprint(
-          g, a, layout::ring_len_affine(a.split.start.scale, a.split.window, c, streams));
-    if (fp > mem_limit) break;
-    const SimTime t = region_time(c);
-    if (t < best_t) {
-      best_t = t;
-      best_c = c;
-    }
-  }
-  return best_c;
-}
-
 SimTime dry_run_lower_bound(const gpu::Gpu& g, const PipelineSpec& spec,
                             const DryRunCost& cost) {
-  if (!CostModel::supports(spec) || !spec.halos.empty() || !spec.handoffs.empty()) return 0.0;
+  if (!spec.halos.empty() || !spec.handoffs.empty()) return 0.0;
+  for (const ArraySpec& a : spec.arrays)
+    if (a.split.window_fn) return 0.0;
   const gpu::DeviceProfile& p = g.profile();
   const std::int64_t trip = spec.iterations();
   const std::int64_t c = std::min(spec.chunk_size, trip);

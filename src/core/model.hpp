@@ -1,71 +1,15 @@
-// Analytic pipeline cost model.
+// A lower bound on plan replay.
 //
-// Predicts per-chunk engine times and the region makespan for a pipeline
-// spec on a given device profile. Used by the adaptive schedule (probe the
-// kernel, model the rest) and by the measured autotuner's candidate
-// pre-filtering; also exposed publicly so users can reason about
-// configurations without running them. The model is deliberately simple —
-// steady-state bottleneck analysis over the copy/compute engines plus host
-// enqueue cost — and is validated against the simulator in tests.
-//
-// dry_run_lower_bound is the model's exact counterpart: not an estimate but
-// a makespan no plan replay can beat, which lets the dry-run autotuner skip
-// candidates without changing its pick.
+// dry_run_lower_bound is not an estimate but a makespan no replay of the
+// compiled plan can beat, in closed form. It lets the replay sweep
+// (core/autotune.hpp) skip candidates without changing its pick.
 #pragma once
-
-#include <algorithm>
 
 #include "core/plan.hpp"
 #include "core/spec.hpp"
 #include "gpu/gpu.hpp"
 
 namespace gpupipe::core {
-
-/// Per-chunk cost breakdown under one configuration.
-struct ChunkCost {
-  SimTime copy_in = 0.0;   ///< H2D engine time per steady-state chunk
-  SimTime kernel = 0.0;    ///< compute engine time per chunk
-  SimTime copy_out = 0.0;  ///< D2H engine time per chunk
-  SimTime host = 0.0;      ///< host enqueue time per chunk
-
-  /// The pipeline's steady-state rate limiter for a unified copy engine.
-  SimTime bottleneck_unified() const {
-    return std::max({copy_in + copy_out, kernel, host});
-  }
-  /// ... and for split copy engines.
-  SimTime bottleneck_split() const { return std::max({copy_in, kernel, copy_out, host}); }
-};
-
-/// Cost model bound to one device profile and one spec.
-class CostModel {
- public:
-  /// `per_iter_kernel` is the kernel's duration per loop iteration
-  /// (excluding launch latency) — measured from a probe or estimated.
-  CostModel(const gpu::DeviceProfile& profile, const PipelineSpec& spec,
-            SimTime per_iter_kernel);
-
-  /// Whether the model can describe `spec`: affine splits only (a
-  /// window_fn's ranges are opaque to the window arithmetic).
-  static bool supports(const PipelineSpec& spec);
-
-  /// Engine/host time of one steady-state chunk of `c` iterations.
-  ChunkCost chunk_cost(std::int64_t c) const;
-
-  /// Predicted region makespan with chunk size `c` (streams affect only
-  /// buffer sizing; the engine bottleneck analysis assumes enough streams
-  /// to keep the pipeline full, i.e. >= 2).
-  SimTime region_time(std::int64_t c) const;
-
-  /// The chunk size among powers of two (plus the given candidates) that
-  /// minimises predicted region time, subject to ring buffers fitting
-  /// `mem_limit` with `streams` streams.
-  std::int64_t best_chunk(const gpu::Gpu& g, Bytes mem_limit, int streams) const;
-
- private:
-  const gpu::DeviceProfile& profile_;
-  const PipelineSpec& spec_;
-  SimTime per_iter_kernel_;
-};
 
 /// A sound lower bound on the dry-run makespan of `spec` at its own
 /// chunk_size/num_streams: never above PlanCache::estimate(g, spec, cost),

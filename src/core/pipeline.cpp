@@ -5,24 +5,13 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "core/autotune.hpp"
 #include "core/layout.hpp"
-#include "core/model.hpp"
 #include "core/plan_cache.hpp"
 #include "core/plan_opt.hpp"
 #include "core/telemetry.hpp"
 
 namespace gpupipe::core {
-
-namespace {
-
-bool is_input(const ArraySpec& a) {
-  return a.map == MapType::To || a.map == MapType::ToFrom;
-}
-bool is_output(const ArraySpec& a) {
-  return a.map == MapType::From || a.map == MapType::ToFrom;
-}
-
-}  // namespace
 
 // --- ChunkContext ---
 
@@ -68,8 +57,7 @@ Pipeline::Pipeline(gpu::Gpu& gpu, PipelineSpec spec)
   spec_.validate();
   if (spec_.schedule == ScheduleKind::Adaptive) {
     for (const auto& a : spec_.arrays)
-      require(!a.split.window_fn,
-              "the adaptive schedule's cost model supports affine splits only");
+      require(!a.split.window_fn, "the adaptive schedule re-chunks affine splits only");
   }
   mem_limit_ = spec_.mem_limit ? std::min(*spec_.mem_limit, gpu_.device_mem_free())
                                : gpu_.device_mem_free();
@@ -191,15 +179,14 @@ void Pipeline::run(const KernelFactory& make_kernel) {
     return;
   }
 
-  // Adaptive extension: probe the first chunk, model the rest.
+  // Adaptive extension: probe the first chunk, re-chunk the rest by replay.
   const std::int64_t probe_hi = std::min(spec_.loop_begin + chunk_size_, spec_.loop_end);
   const ExecutionPlan probe = build_plan(spec_.loop_begin, probe_hi, 0);
   maybe_validate(probe);
   executor_.run(probe, mk);
   if (probe_hi == spec_.loop_end) return;
 
-  const SimTime probe_kernel =
-      executor_.last_kernel() ? executor_.last_kernel()->duration() : 0.0;
+  const SimTime probe_kernel = last_kernel_time();
   const std::int64_t c_star = adaptive_chunk_size(probe_kernel, probe_hi - spec_.loop_begin);
   if (c_star != chunk_size_) {
     log_debug("pipeline: adaptive schedule re-chunks ", chunk_size_, " -> ", c_star,
@@ -223,50 +210,29 @@ void Pipeline::enqueue(const KernelFactory& make_kernel) {
 
 void Pipeline::wait() { executor_.wait(); }
 
-std::vector<ChunkPlan> Pipeline::plan() const {
-  std::vector<ChunkPlan> out;
-  std::vector<std::int64_t> copied_hi(arrays_.size(), 0);
-  std::vector<bool> copied_any(arrays_.size(), false);
-  std::int64_t counter = 0;
-  for (std::int64_t lo = spec_.loop_begin; lo < spec_.loop_end;
-       lo += chunk_size_, ++counter) {
-    const std::int64_t hi = std::min(lo + chunk_size_, spec_.loop_end);
-    ChunkPlan cp;
-    cp.index = counter;
-    cp.stream = static_cast<int>(counter % static_cast<std::int64_t>(streams_.size()));
-    cp.begin = lo;
-    cp.end = hi;
-    for (std::size_t ai = 0; ai < arrays_.size(); ++ai) {
-      const auto& a = arrays_[ai];
-      const auto [w_lo, w_hi] = layout::window_of(a.spec, lo, hi);
-      if (is_input(a.spec)) {
-        // Mirror the executed plan: with halo reuse (opt level >= 1), only
-        // the non-resident suffix of the window is uploaded.
-        const bool elide = spec_.opt_level >= 1 && copied_any[ai];
-        const std::int64_t n_lo = elide ? std::max(copied_hi[ai], w_lo) : w_lo;
-        if (n_lo < w_hi) cp.copies_in.push_back({a.spec.name, n_lo, w_hi});
-        copied_hi[ai] = std::max(copied_hi[ai], w_hi);
-        copied_any[ai] = true;
-      }
-      if (is_output(a.spec)) cp.copies_out.push_back({a.spec.name, w_lo, w_hi});
-    }
-    out.push_back(std::move(cp));
-  }
-  return out;
-}
-
 void Pipeline::print_plan(std::ostream& os) const {
   os << "pipeline plan: " << spec_.iterations() << " iterations, chunk " << chunk_size_
      << ", " << streams_.size() << " streams\n";
-  for (const auto& cp : plan()) {
-    os << "  chunk " << cp.index << " [" << cp.begin << "," << cp.end << ") on stream "
-       << cp.stream << ":";
-    for (const auto& m : cp.copies_in)
-      os << " in " << m.array << "[" << m.lo << "," << m.hi << ")";
-    os << " kernel";
-    for (const auto& m : cp.copies_out)
-      os << " out " << m.array << "[" << m.lo << "," << m.hi << ")";
-    os << "\n";
+  // The builder emits each chunk's nodes contiguously: uploads, kernel,
+  // drains.
+  const std::vector<PlanNode>& nodes = plan_->nodes;
+  for (auto first = nodes.begin(); first != nodes.end();) {
+    const std::int64_t chunk = first->chunk;
+    const auto last = std::find_if(first, nodes.end(),
+                                   [chunk](const PlanNode& n) { return n.chunk != chunk; });
+    // A chunk whose kernel was fused into an earlier one's has none.
+    const auto kernel = std::find_if(
+        first, last, [](const PlanNode& n) { return n.op == PlanOp::Kernel; });
+    const std::int64_t lo = spec_.loop_begin + chunk * chunk_size_;
+    os << "  chunk " << chunk << " [" << lo << "," << std::min(lo + chunk_size_, spec_.loop_end)
+       << ") on stream " << (kernel != last ? kernel : first)->stream << ":";
+    for (; first != last; ++first) {
+      if (first->op == PlanOp::Kernel)
+        os << " kernel";
+      else if (first->op != PlanOp::SlotReuse && first->op != PlanOp::Barrier)
+        os << ' ' << first->label;
+    }
+    os << '\n';
   }
 }
 
@@ -274,12 +240,18 @@ void Pipeline::print_plan(std::ostream& os) const {
 
 std::int64_t Pipeline::adaptive_chunk_size(SimTime probe_kernel_time,
                                            std::int64_t probe_chunk) const {
-  const auto& p = gpu_.profile();
-  const double per_iter_kernel =
-      std::max(0.0, probe_kernel_time - p.kernel_launch_latency) /
+  DryRunCost cost;
+  cost.seconds_per_iter =
+      std::max(0.0, probe_kernel_time - gpu_.profile().kernel_launch_latency) /
       static_cast<double>(std::max<std::int64_t>(probe_chunk, 1));
-  const CostModel model(p, spec_, per_iter_kernel);
-  return model.best_chunk(gpu_, mem_limit_, effective_streams());
+  std::vector<std::int64_t> chunks;
+  for (std::int64_t c = 1; c <= spec_.iterations(); c *= 2) chunks.push_back(c);
+  // Keyed as the static spec it replays, so the sweep shares the plan cache.
+  // mem_limit_ was solved before this pipeline's rings took device memory.
+  PipelineSpec trial = spec_;
+  trial.schedule = ScheduleKind::Static;
+  return replay_sweep(gpu_, trial, chunks, {effective_streams()}, cost, mem_limit_, 1)
+      .chunk_size;
 }
 
 }  // namespace gpupipe::core

@@ -18,9 +18,10 @@
 //      to the tracker's runtime verification.
 //
 // The adaptive schedule (the paper's stated future work, implemented here as
-// an extension) probes the first chunk, models per-chunk costs from the
-// device profile, picks the chunk size minimising predicted makespan, and
-// reconfigures the ring buffers before planning the remaining iterations.
+// an extension) probes the first chunk, then re-chunks the remaining
+// iterations at the chunk size the autotuner's replay sweep picks
+// (core/autotune.hpp), seeded with the probe kernel's time per iteration,
+// and reconfigures the ring buffers before planning them.
 #pragma once
 
 #include <functional>
@@ -70,21 +71,6 @@ class ChunkContext {
 /// in the kernel's memory effects for the mapped arrays.
 using KernelFactory = std::function<gpu::KernelDesc(const ChunkContext&)>;
 
-/// The data-movement plan of one chunk (introspection; see Pipeline::plan).
-struct ChunkPlan {
-  std::int64_t index = 0;
-  int stream = 0;
-  std::int64_t begin = 0;  ///< iteration subrange
-  std::int64_t end = 0;
-  struct Move {
-    std::string array;
-    std::int64_t lo = 0;  ///< split-index range
-    std::int64_t hi = 0;
-  };
-  std::vector<Move> copies_in;   ///< after sliding-window elision
-  std::vector<Move> copies_out;
-};
-
 /// A reusable pipelined offload region bound to one simulated GPU.
 class Pipeline {
  public:
@@ -109,12 +95,10 @@ class Pipeline {
   void enqueue(const KernelFactory& make_kernel);
   void wait();
 
-  /// Returns the per-chunk data-movement plan run() would execute —
-  /// iteration subranges, stream assignment, and the input/output slices
-  /// after sliding-window elision. Pure arithmetic; does not touch the
-  /// device. Useful for debugging directives and in tests.
-  std::vector<ChunkPlan> plan() const;
-  /// Prints plan() in a human-readable form.
+  /// Prints execution_plan() one chunk per line: the chunk's iteration
+  /// subrange, its kernel's stream, and its transfer nodes by label (h2d,
+  /// p2p-recv, handoff-in, p2p-send, d2h, handoff-out) around "kernel".
+  /// Useful for debugging directives.
   void print_plan(std::ostream& os) const;
 
   /// The compiled op graph run() executes (static schedule; the adaptive
@@ -137,6 +121,13 @@ class Pipeline {
   /// shape (e.g. ping-pong buffers between Jacobi sweeps). Takes effect for
   /// subsequent run() calls; device buffers are reused.
   void rebind_host(std::string_view array_name, std::byte* host);
+
+  /// Service time of the last kernel this pipeline issued (0 before the
+  /// first): the probe time the adaptive schedule and autotune's one-chunk
+  /// probe read. Exact, unlike a span's end - start on a late clock.
+  SimTime last_kernel_time() const {
+    return executor_.last_kernel() ? executor_.last_kernel()->duration() : 0.0;
+  }
 
   /// Chunk size actually in use (after memory-limit shrinking / adaptive
   /// tuning).
@@ -185,7 +176,8 @@ class Pipeline {
   void maybe_validate(const ExecutionPlan& p) const;
   /// Adapts the KernelFactory to the executor's node-level interface.
   PlanKernelMaker maker(const KernelFactory& make_kernel) const;
-  /// Adaptive extension: pick a chunk size from a probe kernel's duration.
+  /// Adaptive extension: the replay sweep's chunk size for a probe kernel
+  /// of `probe_kernel_time` over `probe_chunk` iterations.
   std::int64_t adaptive_chunk_size(SimTime probe_kernel_time,
                                    std::int64_t probe_chunk) const;
 

@@ -1236,18 +1236,13 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
     for (int s = 0; s < plan.num_streams; ++s)
       lane_ids[static_cast<std::size_t>(s)] = out.trace.intern(lane(s));
   }
-  // Every task takes the empty label (id 0): nothing reads a task's label,
-  // so only a recorded span gets one. Labels never feed the clock, so the
-  // timeline (and the makespan) is the same either way.
-  const StringId unlabeled = 0;
-
   // `label` is a callable producing the span's label; only traced runs call
   // it (and record the span).
   auto submit = [&](int stream, sim::Engine& engine, SimTime dur, sim::SpanKind kind,
                     auto&& label, Bytes bytes, std::int64_t node) {
     host += profile.api_call_host_overhead;
     if (&engine != &command) dur += sched;
-    sim::TaskPtr t = sim::Task::create(engine, dur, unlabeled);
+    sim::TaskPtr t = sim::Task::create(engine, dur);
     if (traced)
       t->set_span(out.trace, kind, lane_ids[static_cast<std::size_t>(stream)],
                   out.trace.intern(label()), bytes, node);
@@ -1260,7 +1255,7 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
 
   auto wait_on = [&](int stream, const sim::TaskPtr& ev) {
     host += profile.api_call_host_overhead;
-    auto t = sim::Task::create(command, 0.0, unlabeled);
+    auto t = sim::Task::create(command, 0.0);
     sim::TaskPtr& tl = tail[static_cast<std::size_t>(stream)];
     if (tl) t->depends_on(tl);
     t->depends_on(ev);

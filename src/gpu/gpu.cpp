@@ -91,9 +91,8 @@ EventPtr Gpu::record_event(Stream& s) {
 void Gpu::wait_event(Stream& s, const EventPtr& ev) {
   require(ev != nullptr, "wait_event on null event");
   host_advance(profile_.api_call_host_overhead);
-  // A wait marker records no span and touches no memory: nothing reads its
-  // label, so it takes the empty one.
-  auto marker = sim::Task::create(*command_, 0.0, StringId{0});
+  // A wait marker records no span and touches no memory.
+  auto marker = sim::Task::create(*command_, 0.0);
   if (s.last_) marker->depends_on(s.last_);
   marker->depends_on(ev->task_);
   marker->submit(ctx_->host_time);
@@ -195,7 +194,7 @@ sim::TaskPtr Gpu::submit(Stream& s, sim::Engine& engine, SimTime duration, sim::
   if (&engine != command_.get() && live_streams_ > 1)
     duration += profile_.sched_overhead_per_stream * (live_streams_ - 1);
 
-  auto task = sim::Task::create(engine, duration, label.name,
+  auto task = sim::Task::create(engine, duration,
                                 functional() ? std::move(payload) : std::function<void()>{});
   if (s.last_) task->depends_on(s.last_);
 

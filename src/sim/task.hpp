@@ -17,8 +17,8 @@
 // Simulator::extension), not in individually heap-allocated shared_ptr
 // blocks. TaskPtr is an intrusive handle — copying bumps a non-atomic
 // refcount; when the last reference drops the slot returns to the arena's
-// free list. Successor lists are index-linked edges in a shared pool, and
-// labels are interned, so steady-state task churn performs no allocation.
+// free list. Successor lists are index-linked edges in a shared pool, so
+// steady-state task churn performs no allocation.
 // A task's completion event drains every successor that became ready, in
 // dependency-registration order — the exact sequence-number assignment the
 // per-successor dispatch always produced, which is what keeps traces
@@ -92,18 +92,12 @@ class Task {
   using Callback = InlineCallable<32>;
 
   /// Creates a task serviced by `engine` for `duration` simulated seconds.
-  static TaskPtr create(Engine& engine, SimTime duration, std::string_view label);
+  static TaskPtr create(Engine& engine, SimTime duration);
 
-  /// As above with a pre-interned label (TaskArena::intern) — callers that
-  /// create many tasks with the same few labels hoist the hash out of the
-  /// per-task path.
-  static TaskPtr create(Engine& engine, SimTime duration, StringId label);
-
-  /// As above (`label` a string or a pre-interned id) with a `payload` that
-  /// runs exactly once, at completion time.
-  template <typename Label, typename F>
-  static TaskPtr create(Engine& engine, SimTime duration, Label label, F&& payload) {
-    TaskPtr t = create(engine, duration, label);
+  /// As above with a `payload` that runs exactly once, at completion time.
+  template <typename F>
+  static TaskPtr create(Engine& engine, SimTime duration, F&& payload) {
+    TaskPtr t = create(engine, duration);
     t->assign_payload(std::forward<F>(payload));
     return t;
   }
@@ -186,7 +180,6 @@ class Task {
   Bytes span_bytes_;
   std::int64_t span_node_;
   std::uint32_t index_;
-  StringId label_;
   std::uint32_t payload_;
   std::uint32_t start_cb_;
   std::uint32_t complete_cb_;
@@ -225,9 +218,9 @@ class TaskArena {
   std::uint64_t created() const { return created_; }
   /// Successor-edge slots allocated.
   std::size_t edge_slots() const { return edges_.size(); }
-  /// Interned task labels.
+  /// Interned operation names (kernel and stream names of op labels).
   const StringTable& labels() const { return labels_; }
-  /// Interns a label for Task::create's StringId overload.
+  /// Interns a name into labels().
   StringId intern(std::string_view label) { return labels_.intern(label); }
 
  private:
@@ -260,7 +253,7 @@ class TaskArena {
   static void on_release_event(void* ctx, std::uint32_t index);
   static void on_completion_event(void* ctx, std::uint32_t index);
 
-  TaskPtr allocate(Engine& engine, SimTime duration, StringId label);
+  TaskPtr allocate(Engine& engine, SimTime duration);
 
   void add_successor(Task& pred, Task& succ) {
     std::uint32_t e;
@@ -484,7 +477,7 @@ inline TaskPtr::~TaskPtr() {
   if (ptr_) TaskArena::release_ref(ptr_);
 }
 
-inline TaskPtr TaskArena::allocate(Engine& engine, SimTime duration, StringId label) {
+inline TaskPtr TaskArena::allocate(Engine& engine, SimTime duration) {
   Task* t;
   std::uint32_t idx;
   if (!free_.empty()) {
@@ -504,7 +497,6 @@ inline TaskPtr TaskArena::allocate(Engine& engine, SimTime duration, StringId la
   t->arena_ = this;
   t->engine_ = &engine;
   t->index_ = idx;
-  t->label_ = label;
   t->duration_ = duration;
   t->start_ = t->end_ = 0.0;
   t->trace_ = nullptr;
@@ -551,13 +543,9 @@ void Task::on_start(F&& fn) {
   arena_->assign_callback(start_cb_, std::forward<F>(fn));
 }
 
-inline TaskPtr Task::create(Engine& engine, SimTime duration, std::string_view label) {
-  return create(engine, duration, engine.arena().intern(label));
-}
-
-inline TaskPtr Task::create(Engine& engine, SimTime duration, StringId label) {
+inline TaskPtr Task::create(Engine& engine, SimTime duration) {
   require(duration >= 0.0, "task duration must be non-negative");
-  return engine.arena().allocate(engine, duration, label);
+  return engine.arena().allocate(engine, duration);
 }
 
 inline void Task::depends_on(const TaskPtr& pred) {

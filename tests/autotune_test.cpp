@@ -1,10 +1,10 @@
-// Tests for the analytic cost model and the autotuning scheduler.
+// Tests for the autotuning scheduler: the probe-seeded replay sweep, and the
+// adaptive schedule's re-chunk through the same sweep.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/autotune.hpp"
-#include "core/model.hpp"
 #include "gpu/device_profile.hpp"
 
 namespace gpupipe::core {
@@ -31,49 +31,6 @@ KernelFactory kernel(std::int64_t m, double bytes_per_elem) {
   };
 }
 
-TEST(CostModel, PredictsMonotoneChunkCosts) {
-  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-  std::byte* in = g.host_alloc(1 * MiB);
-  std::byte* out = g.host_alloc(1 * MiB);
-  auto spec = rows_spec(in, out, 1024, 128);
-  const CostModel model(g.profile(), spec, usec(2.0));
-  const ChunkCost c1 = model.chunk_cost(1);
-  const ChunkCost c8 = model.chunk_cost(8);
-  EXPECT_GT(c8.copy_in, c1.copy_in);
-  EXPECT_GT(c8.kernel, c1.kernel);
-  // Per-iteration, larger chunks are cheaper (fixed costs amortise).
-  EXPECT_LT(c8.copy_in / 8.0, c1.copy_in);
-}
-
-TEST(CostModel, PredictionTracksSimulationWithinFactorTwo) {
-  // The model is coarse, but for a plain streaming workload it should land
-  // within 2x of the simulated region time across chunk sizes.
-  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-  g.hazards().set_enabled(false);
-  const std::int64_t n = 512, m = 8192;  // 64 KiB rows
-  std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
-  std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
-
-  for (std::int64_t c : {2, 8, 32}) {
-    auto spec = rows_spec(in, out, n, m);
-    spec.chunk_size = c;
-    spec.num_streams = 2;
-    Pipeline p(g, spec);
-    const SimTime t0 = g.host_now();
-    p.run(kernel(m, 32.0));
-    const SimTime simulated = g.host_now() - t0;
-
-    // Seed the model with the true per-iteration kernel time.
-    const SimTime per_iter =
-        std::max(static_cast<double>(m) / g.profile().peak_flops,
-                 static_cast<double>(m) * 32.0 / g.profile().mem_bandwidth);
-    const CostModel model(g.profile(), spec, per_iter);
-    const SimTime predicted = model.region_time(c);
-    EXPECT_GT(predicted, 0.5 * simulated) << "chunk " << c;
-    EXPECT_LT(predicted, 2.0 * simulated) << "chunk " << c;
-  }
-}
-
 TEST(Autotune, FindsABetterConfigThanTheWorstCandidate) {
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
@@ -85,39 +42,28 @@ TEST(Autotune, FindsABetterConfigThanTheWorstCandidate) {
   TuneOptions opt;
   opt.chunk_candidates = {1, 8, 64};
   opt.stream_candidates = {1, 2};
-  opt.model_prefilter = false;  // measure everything
   const TuneResult r = autotune(g, spec, kernel(m, 16.0), opt);
 
   EXPECT_GT(r.chunk_size, 1);
   EXPECT_GE(r.num_streams, 2);
+  // Pruned candidates were never replayed (they read +inf): execute them.
   SimTime worst = 0.0;
-  for (const auto& c : r.explored)
-    if (c.feasible) worst = std::max(worst, c.measured);
+  for (const auto& c : r.explored) {
+    if (!c.feasible) continue;
+    SimTime t = c.measured;
+    if (c.pruned()) {
+      PipelineSpec trial = spec;
+      trial.chunk_size = c.chunk_size;
+      trial.num_streams = c.num_streams;
+      Pipeline p(g, trial);
+      const SimTime t0 = g.host_now();
+      p.run(kernel(m, 16.0));
+      t = g.host_now() - t0;
+    }
+    worst = std::max(worst, t);
+  }
   EXPECT_LT(r.best_time, worst / 2.0);
   EXPECT_EQ(r.explored.size(), 6u);
-}
-
-TEST(Autotune, PrefilterPrunesBadChunksButKeepsTheWinner) {
-  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-  g.hazards().set_enabled(false);
-  const std::int64_t n = 1024, m = 512;
-  std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
-  std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
-  auto spec = rows_spec(in, out, n, m);
-
-  TuneOptions filtered;
-  filtered.chunk_candidates = {1, 8, 64};
-  filtered.stream_candidates = {2};
-  filtered.model_prefilter = true;
-  filtered.prune_factor = 2.0;
-  const TuneResult with_filter = autotune(g, spec, kernel(m, 16.0), filtered);
-
-  TuneOptions full = filtered;
-  full.model_prefilter = false;
-  const TuneResult without = autotune(g, spec, kernel(m, 16.0), full);
-
-  EXPECT_EQ(with_filter.chunk_size, without.chunk_size);
-  EXPECT_LT(with_filter.explored.size(), without.explored.size());
 }
 
 TEST(Autotune, RespectsMemoryLimit) {
@@ -132,7 +78,6 @@ TEST(Autotune, RespectsMemoryLimit) {
   TuneOptions opt;
   opt.chunk_candidates = {1, 4, 64};
   opt.stream_candidates = {2};
-  opt.model_prefilter = false;
   const TuneResult r = autotune(g, spec, kernel(m, 16.0), opt);
   EXPECT_LE(r.chunk_size, 4);
   bool infeasible_seen = false;
@@ -141,9 +86,9 @@ TEST(Autotune, RespectsMemoryLimit) {
 }
 
 TEST(Autotune, ProbeSeedsTheModelFromItsOwnKernelsOnly) {
-  // The one-chunk probe's kernel time seeds the cost model. Kernels the
-  // device ran before the sweep (a heavier region, or an earlier sweep)
-  // must not leak into that seed, even when the caller records spans.
+  // The one-chunk probe's kernel time seeds the replays. Kernels the device
+  // ran before the sweep (a heavier region, or an earlier sweep) must not
+  // leak into that seed, even when the caller records spans.
   static constexpr std::int64_t n = 512, m = 8192;  // 64 KiB rows
   struct Device {
     gpu::Gpu g{gpu::nvidia_k40m(), gpu::ExecMode::Modeled};
@@ -154,43 +99,46 @@ TEST(Autotune, ProbeSeedsTheModelFromItsOwnKernelsOnly) {
       std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
       spec = rows_spec(in, out, n, m);
     }
-    TuneResult tune(bool dry_run) {
-      TuneOptions opt;  // default candidates, probe-seeded
-      opt.dry_run = dry_run;
-      return autotune(g, spec, kernel(m, 16.0), opt);
+    TuneResult tune() {
+      return autotune(g, spec, kernel(m, 16.0));  // default candidates, probe-seeded
     }
   };
 
   Device fresh;
-  const TuneResult base = fresh.tune(true);
+  const TuneResult base = fresh.tune();
   EXPECT_EQ(base.chunk_size, 64);
   EXPECT_EQ(base.num_streams, 2);
-  EXPECT_FALSE(fresh.g.trace().enabled());  // the probe restored the setting
+  EXPECT_FALSE(fresh.g.trace().enabled());  // the probe needs no spans
 
   Device used;
   used.g.trace().set_enabled(true);
   PipelineSpec heavy = used.spec;
   heavy.chunk_size = 64;
   Pipeline(used.g, heavy).run(kernel(m, 400.0));
-  const TuneResult after = used.tune(true);
+  const TuneResult after = used.tune();
   EXPECT_TRUE(used.g.trace().enabled());
   EXPECT_EQ(after.chunk_size, base.chunk_size);
   EXPECT_EQ(after.num_streams, base.num_streams);
   EXPECT_EQ(after.best_time, base.best_time);
 
-  Device measured;
-  measured.g.trace().set_enabled(true);
-  const TuneResult first = measured.tune(false);
-  const TuneResult second = measured.tune(false);
-  EXPECT_EQ(second.explored.size(), first.explored.size());
-  EXPECT_EQ(second.chunk_size, first.chunk_size);
-  EXPECT_EQ(second.num_streams, first.num_streams);
+  // Replays never read the device's clock, and the probe reads its kernel's
+  // exact service time: a later sweep on the same device returns the same
+  // result bit for bit, also when the kernel bounds the region and the
+  // clock is far enough on that a span's end - start would round.
+  used.g.host_compute(1.0 / 3.0);
+  const TuneResult again = used.tune();
+  EXPECT_EQ(again.chunk_size, base.chunk_size);
+  EXPECT_EQ(again.num_streams, base.num_streams);
+  EXPECT_EQ(again.best_time, base.best_time);
+  const TuneResult bound = autotune(used.g, used.spec, kernel(m, 4000.0));
+  used.g.host_compute(3e5 + 0.7);
+  EXPECT_EQ(autotune(used.g, used.spec, kernel(m, 4000.0)).best_time, bound.best_time);
 }
 
 TEST(Autotune, MeasuredSweepOfAWindowFnSpecSkipsThePrefilter) {
-  // The CostModel prefilter (on by default) cannot describe a window_fn
-  // split; the measured sweep must sweep every candidate instead of
-  // throwing from the model.
+  // A window_fn split has no lower bound (it is 0), so the sweep replays
+  // every feasible candidate, and two sweeps on one device agree bit for
+  // bit.
   static constexpr std::int64_t n = 256, m = 1024;
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
@@ -202,25 +150,63 @@ TEST(Autotune, MeasuredSweepOfAWindowFnSpecSkipsThePrefilter) {
   TuneOptions opt;
   opt.chunk_candidates = {1, 8, 64};
   opt.stream_candidates = {1, 2};
-  const TuneResult by_default = autotune(g, spec, kernel(m, 16.0), opt);
-  EXPECT_EQ(by_default.explored.size(), 6u);
-  EXPECT_EQ(by_default.chunk_size, 64);
-  EXPECT_EQ(by_default.num_streams, 2);
-  EXPECT_NEAR(by_default.best_time, 0.00112458, 1e-8);
+  const TuneResult first = autotune(g, spec, kernel(m, 16.0), opt);
+  EXPECT_EQ(first.explored.size(), 6u);
+  EXPECT_EQ(first.chunk_size, 64);
+  EXPECT_EQ(first.num_streams, 2);
+  EXPECT_NEAR(first.best_time, 0.00112458, 1e-8);
+  for (const TuneCandidate& c : first.explored) EXPECT_FALSE(c.pruned());
 
-  opt.model_prefilter = false;
-  const TuneResult unfiltered = autotune(g, spec, kernel(m, 16.0), opt);
-  EXPECT_EQ(unfiltered.chunk_size, by_default.chunk_size);
-  EXPECT_EQ(unfiltered.num_streams, by_default.num_streams);
-  // Same measurement, later on the device's virtual clock: equal up to
-  // the clock's rounding.
-  EXPECT_NEAR(unfiltered.best_time, by_default.best_time, 1e-12);
+  g.host_compute(1.0 / 3.0);
+  const TuneResult second = autotune(g, spec, kernel(m, 16.0), opt);
+  EXPECT_EQ(second.chunk_size, first.chunk_size);
+  EXPECT_EQ(second.num_streams, first.num_streams);
+  EXPECT_EQ(second.best_time, first.best_time);
+}
 
-  opt.dry_run = true;  // no bound for window_fn splits: every candidate replays
-  const TuneResult dry = autotune(g, spec, kernel(m, 16.0), opt);
-  EXPECT_EQ(dry.chunk_size, by_default.chunk_size);
-  EXPECT_EQ(dry.num_streams, by_default.num_streams);
-  for (const TuneCandidate& c : dry.explored) EXPECT_FALSE(c.pruned());
+TEST(Autotune, RejectsTheMeasuredSweep) {
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  std::byte* in = g.host_alloc(1 * MiB);
+  std::byte* out = g.host_alloc(1 * MiB);
+  TuneOptions opt;
+  opt.dry_run = false;
+  EXPECT_THROW(autotune(g, rows_spec(in, out, 64, 64), kernel(64, 16.0), opt), Error);
+}
+
+TEST(Autotune, AdaptiveRechunkPicksWhatTheReplaySweepPicks) {
+  // bench/ablation_schedule's 4 KiB-row shape: the adaptive schedule probes
+  // chunk 1, then re-chunks to the pick of a replay sweep over the powers
+  // of two at the probe kernel's time per iteration.
+  static constexpr std::int64_t n = 4096, m = 512;
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  g.hazards().set_enabled(false);
+  std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  PipelineSpec spec = rows_spec(in, out, n, m);
+  spec.num_streams = 2;
+  spec.schedule = ScheduleKind::Adaptive;
+  const Bytes limit = g.device_mem_free();
+
+  g.trace().set_enabled(true);
+  Pipeline p(g, spec);
+  p.run(kernel(m, 16.0));
+  SimTime probe = 0.0;  // the first kernel span is the probe's
+  for (const sim::Span& span : g.trace().spans()) {
+    if (span.kind == sim::SpanKind::Kernel) {
+      probe = span.duration();
+      break;
+    }
+  }
+  ASSERT_GT(probe, 0.0);
+
+  DryRunCost cost;
+  cost.seconds_per_iter = probe - g.profile().kernel_launch_latency;
+  std::vector<std::int64_t> chunks;
+  for (std::int64_t c = 1; c <= n; c *= 2) chunks.push_back(c);
+  spec.schedule = ScheduleKind::Static;
+  const TuneResult sweep = replay_sweep(g, spec, chunks, {2}, cost, limit, 1);
+  EXPECT_EQ(p.effective_chunk_size(), sweep.chunk_size);
+  EXPECT_EQ(sweep.chunk_size, 1024);
 }
 
 TEST(Autotune, RejectsAdaptiveSchedule) {

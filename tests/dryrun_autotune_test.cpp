@@ -1,13 +1,14 @@
-// Dry-run autotuning fidelity: the cost-model-only sweep (plan replay, no
-// execution, no allocations) must select the same configuration as the
-// measured sweep on the paper's Fig. 4 / Fig. 7 style workloads. Its
-// pruning lower bound must never exceed a replay, and the pruned sweep must
-// pick exactly what replaying every candidate picks.
+// Replay autotuning fidelity: the sweep (plan replay, no execution, no
+// allocations) must select the same configuration as executing every
+// candidate on the paper's Fig. 4 / Fig. 7 style workloads. Its pruning
+// lower bound must never exceed a replay, and the pruned sweep must pick
+// exactly what replaying every candidate picks.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/conv3d.hpp"
@@ -67,31 +68,50 @@ KernelFactory linear_kernel(double flops_per_iter, double bytes_per_iter) {
   };
 }
 
+// The executed reference: runs every candidate through a Pipeline on `g`
+// and returns the first of the fastest, chunks outer like the sweep.
+std::pair<std::int64_t, int> executed_pick(gpu::Gpu& g, const PipelineSpec& spec,
+                                           const KernelFactory& kernel,
+                                           const std::vector<std::int64_t>& chunks,
+                                           const std::vector<int>& streams) {
+  SimTime best = std::numeric_limits<SimTime>::infinity();
+  std::pair<std::int64_t, int> pick{0, 0};
+  for (std::int64_t c : chunks) {
+    for (int s : streams) {
+      PipelineSpec trial = spec;
+      trial.chunk_size = c;
+      trial.num_streams = s;
+      Pipeline p(g, trial);
+      const SimTime t0 = g.host_now();
+      p.run(kernel);
+      const SimTime t = g.host_now() - t0;
+      if (t < best) {
+        best = t;
+        pick = {c, s};
+      }
+    }
+  }
+  return pick;
+}
+
 void expect_same_pick(gpu::Gpu& g, const PipelineSpec& spec, const KernelCostHint& hint,
                       const std::vector<std::int64_t>& chunks,
                       const std::vector<int>& streams) {
   TuneOptions dry;
   dry.chunk_candidates = chunks;
   dry.stream_candidates = streams;
-  dry.dry_run = true;
   dry.kernel_cost = hint;
 
+  const KernelFactory kernel = linear_kernel(hint.flops_per_iter, hint.bytes_per_iter);
   const std::uint64_t allocs_before = g.device_mem_stats().total_allocations;
-  const TuneResult predicted =
-      autotune(g, spec, linear_kernel(hint.flops_per_iter, hint.bytes_per_iter), dry);
-  // The whole dry sweep must not have touched device memory at all.
+  const TuneResult predicted = autotune(g, spec, kernel, dry);
+  // The whole sweep must not have touched device memory at all.
   EXPECT_EQ(g.device_mem_stats().total_allocations, allocs_before);
   EXPECT_EQ(predicted.explored.size(), chunks.size() * streams.size());
 
-  TuneOptions measured;
-  measured.chunk_candidates = chunks;
-  measured.stream_candidates = streams;
-  measured.model_prefilter = false;
-  const TuneResult executed =
-      autotune(g, spec, linear_kernel(hint.flops_per_iter, hint.bytes_per_iter), measured);
-
-  EXPECT_EQ(predicted.chunk_size, executed.chunk_size);
-  EXPECT_EQ(predicted.num_streams, executed.num_streams);
+  const auto [chunk, streams_picked] = executed_pick(g, spec, kernel, chunks, streams);
+  EXPECT_EQ(predicted.chunk_size, chunk);
+  EXPECT_EQ(predicted.num_streams, streams_picked);
 }
 
 TEST(DryRunAutotune, MatchesExecutedPickOnFig4QcdSweep) {
@@ -135,7 +155,6 @@ TEST(DryRunAutotune, InfeasibleCandidatesAreMarkedNotDropped) {
   TuneOptions dry;
   dry.chunk_candidates = {1, 4, 64};
   dry.stream_candidates = {2};
-  dry.dry_run = true;
   dry.kernel_cost = KernelCostHint{static_cast<double>(m), static_cast<double>(m) * 16.0};
   const TuneResult r = autotune(g, spec, linear_kernel(0, 0), dry);
   EXPECT_LE(r.chunk_size, 4);
@@ -353,7 +372,6 @@ TEST(DryRunBound, PrunedSweepPicksExactlyWhatTheFullSweepPicks) {
     for (const TunedShape& shape : tuned_shapes(g)) {
       SCOPED_TRACE(shape.name + " on " + profile.name);
       TuneOptions opt;
-      opt.dry_run = true;
       opt.kernel_cost = shape.hint;
       const TuneResult r = autotune(
           g, shape.spec, linear_kernel(shape.hint.flops_per_iter, shape.hint.bytes_per_iter),

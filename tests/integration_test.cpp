@@ -96,28 +96,41 @@ TEST(Integration, PlanMatchesExecution) {
       {{"m", m}});
   core::Pipeline pipe(g, spec);
 
-  const auto plan = pipe.plan();
+  const core::ExecutionPlan& plan = pipe.execution_plan();
+  auto nodes_of = [&](std::int64_t chunk, core::PlanOp op) {
+    std::vector<const core::PlanNode*> out;
+    for (const core::PlanNode& n : plan.nodes)
+      if (n.chunk == chunk && n.op == op) out.push_back(&n);
+    return out;
+  };
   // 22 iterations in chunks of 2 => 11 chunks, round-robin over 2 streams.
-  ASSERT_EQ(plan.size(), 11u);
-  EXPECT_EQ(plan[0].stream, 0);
-  EXPECT_EQ(plan[1].stream, 1);
-  EXPECT_EQ(plan[2].stream, 0);
+  int kernels = 0;
+  for (const core::PlanNode& n : plan.nodes) {
+    if (n.op != core::PlanOp::Kernel) continue;
+    EXPECT_EQ(n.stream, kernels % 2);
+    ++kernels;
+  }
+  EXPECT_EQ(kernels, 11);
   // First chunk brings the full window [0,4); later chunks slide by 2.
-  ASSERT_EQ(plan[0].copies_in.size(), 1u);
-  EXPECT_EQ(plan[0].copies_in[0].lo, 0);
-  EXPECT_EQ(plan[0].copies_in[0].hi, 4);
-  ASSERT_EQ(plan[1].copies_in.size(), 1u);
-  EXPECT_EQ(plan[1].copies_in[0].lo, 4);
-  EXPECT_EQ(plan[1].copies_in[0].hi, 6);
+  const auto up0 = nodes_of(0, core::PlanOp::H2D);
+  ASSERT_EQ(up0.size(), 1u);
+  EXPECT_EQ(up0[0]->begin, 0);
+  EXPECT_EQ(up0[0]->end, 4);
+  const auto up1 = nodes_of(1, core::PlanOp::H2D);
+  ASSERT_EQ(up1.size(), 1u);
+  EXPECT_EQ(up1[0]->begin, 4);
+  EXPECT_EQ(up1[0]->end, 6);
   // Outputs cover exactly the chunk's iterations.
-  EXPECT_EQ(plan[0].copies_out[0].lo, 1);
-  EXPECT_EQ(plan[0].copies_out[0].hi, 3);
+  const auto down0 = nodes_of(0, core::PlanOp::D2H);
+  ASSERT_EQ(down0.size(), 1u);
+  EXPECT_EQ(down0[0]->begin, 1);
+  EXPECT_EQ(down0[0]->end, 3);
 
   // The plan's input volume equals what execution actually transfers.
   Bytes planned = 0;
-  for (const auto& cp : plan)
-    for (const auto& mv : cp.copies_in)
-      planned += static_cast<Bytes>(mv.hi - mv.lo) * m * sizeof(double);
+  for (const core::PlanNode& n : plan.nodes)
+    if (n.op == core::PlanOp::H2D)
+      planned += static_cast<Bytes>(n.end - n.begin) * m * sizeof(double);
   pipe.run([&](const core::ChunkContext& ctx) {
     gpu::KernelDesc kd;
     const core::BufferView vout = ctx.view("B");
@@ -132,7 +145,41 @@ TEST(Integration, PlanMatchesExecution) {
 
   std::ostringstream os;
   pipe.print_plan(os);
-  EXPECT_NE(os.str().find("chunk 0 [1,3) on stream 0"), std::string::npos);
+  EXPECT_NE(os.str().find("chunk 0 [1,3) on stream 0: h2d A[0,4) kernel d2h B[1,3)\n"),
+            std::string::npos)
+      << os.str();
+  EXPECT_NE(os.str().find("chunk 1 [3,5) on stream 1: h2d A[4,6) kernel d2h B[3,5)\n"),
+            std::string::npos)
+      << os.str();
+}
+
+TEST(Integration, PrintPlanShowsAShardSlicesP2pReceive) {
+  // Shard 0's trailing windows overhang its slice: the overhang lands from
+  // shard 1 by P2P, and print_plan lists the plan the slice executes.
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  const std::int64_t n = 34, m = 4;
+  std::byte* in = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  std::byte* out = g.host_alloc(static_cast<Bytes>(n * m) * sizeof(double));
+  core::PipelineSpec spec;
+  spec.chunk_size = 4;
+  spec.num_streams = 2;
+  spec.loop_begin = 1;
+  spec.loop_end = n - 1;
+  spec.arrays = {
+      core::ArraySpec{"in", core::MapType::To, in, sizeof(double), {n, m},
+                      core::SplitSpec{0, core::Affine{1, -1}, 3}},
+      core::ArraySpec{"out", core::MapType::From, out, sizeof(double), {n, m},
+                      core::SplitSpec{0, core::Affine{1, 0}, 1}},
+  };
+  const std::vector<core::ShardSlice> slices = core::shard_pipeline_specs(spec, {1.0, 1.0});
+  ASSERT_EQ(slices.size(), 2u);
+  const core::Pipeline shard0(g, slices[0].spec);
+  std::ostringstream os;
+  shard0.print_plan(os);
+  EXPECT_NE(os.str().find("chunk 3 [13,17) on stream 1: h2d in[14,16) p2p-recv in[16,18) "
+                          "kernel d2h out[13,17)\n"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(Integration, TimelineShowsTransferComputeOverlap) {

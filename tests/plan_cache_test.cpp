@@ -419,7 +419,6 @@ TEST(PlanCacheAutotune, ParallelDrySweepIsBitIdenticalToSerial) {
   hint.bytes_per_iter = 256.0 * 256.0 * 24.0;
 
   TuneOptions opts;
-  opts.dry_run = true;
   opts.kernel_cost = hint;
   opts.tune_jobs = 1;
   const TuneResult serial =
@@ -450,7 +449,6 @@ TEST(PlanCacheAutotune, ParallelSweepIdenticalWithInfeasibleCandidates) {
   TuneOptions opts;
   opts.chunk_candidates = {1, 4, 64};
   opts.stream_candidates = {2};
-  opts.dry_run = true;
   opts.kernel_cost = KernelCostHint{static_cast<double>(m), static_cast<double>(m) * 16.0};
   opts.tune_jobs = 1;
   const TuneResult serial = autotune(g, spec, linear_kernel(0, 0), opts);
@@ -472,7 +470,6 @@ TEST(PlanCacheAutotune, CandidatesAreDedupedAndClampedToTrip) {
   TuneOptions opts;
   opts.chunk_candidates = {4, 4, 2, 32, 64};  // 32 and 64 both clamp to 14
   opts.stream_candidates = {2, 2, 1};
-  opts.dry_run = true;
   opts.kernel_cost = hint;
   const TuneResult r =
       autotune(g, spec, linear_kernel(hint.flops_per_iter, hint.bytes_per_iter), opts);
@@ -483,48 +480,6 @@ TEST(PlanCacheAutotune, CandidatesAreDedupedAndClampedToTrip) {
   EXPECT_EQ(r.explored[1].num_streams, 1);
   EXPECT_EQ(r.explored[2].chunk_size, 2);
   EXPECT_EQ(r.explored[4].chunk_size, 14);
-}
-
-TEST(PlanCacheAutotune, AllOversizedChunksSkipTheProbe) {
-  // When every chunk candidate clamps to the trip count the sweep has one
-  // distinct chunk, so the model prefilter has nothing to rank and the
-  // one-chunk probe execution must be skipped: the measured sweep performs
-  // exactly the same device allocations as a prefilter-free sweep.
-  KernelCostHint hint{64.0 * 8.0, 64.0 * 24.0};
-  auto run = [&](bool prefilter) {
-    gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-    g.hazards().set_enabled(false);
-    const PipelineSpec spec = stencil_spec(g, 16, 64);  // trip count 14
-    TuneOptions opts;
-    opts.chunk_candidates = {32, 64, 128};  // all clamp to 14
-    opts.stream_candidates = {1, 2};
-    opts.model_prefilter = prefilter;
-    const TuneResult r =
-        autotune(g, spec, linear_kernel(hint.flops_per_iter, hint.bytes_per_iter), opts);
-    EXPECT_EQ(r.explored.size(), 2u);
-    EXPECT_EQ(r.chunk_size, 14);
-    return g.device_mem_stats().total_allocations;
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-TEST(PlanCacheAutotune, MeasuredSweepWithPrefilterIgnoresTuneJobs) {
-  // The measured path shares the device's virtual clock and always runs
-  // serially; tune_jobs must not change its result.
-  KernelCostHint hint{256.0 * 8.0, 256.0 * 24.0};
-  auto run = [&](int jobs) {
-    gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-    g.hazards().set_enabled(false);
-    const PipelineSpec spec = stencil_spec(g, 32, 256);
-    TuneOptions opts;
-    opts.chunk_candidates = {1, 2, 4, 8};
-    opts.stream_candidates = {1, 2, 4};
-    opts.model_prefilter = true;
-    opts.tune_jobs = jobs;
-    return autotune(g, spec, linear_kernel(hint.flops_per_iter, hint.bytes_per_iter),
-                    opts);
-  };
-  expect_identical(run(1), run(6));
 }
 
 TEST(PlanCache, FingerprintIsLocaleIndependent) {

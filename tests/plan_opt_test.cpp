@@ -13,7 +13,6 @@
 #include "apps/matmul.hpp"
 #include "apps/qcd.hpp"
 #include "apps/stencil.hpp"
-#include "core/model.hpp"
 #include "core/plan.hpp"
 #include "core/plan_opt.hpp"
 #include "core/tile_pipeline.hpp"
@@ -253,18 +252,6 @@ TEST(PlanOpt, StreamRebalanceKeepsBytesAndValidity) {
   EXPECT_EQ(h2d_bytes(level2), h2d_bytes(level1));
   EXPECT_EQ(d2h_bytes(level2), d2h_bytes(level1));
   EXPECT_EQ(level2.nodes.size(), level1.nodes.size());
-}
-
-TEST(PlanOpt, CostModelChargesHaloOnlyWhenUnoptimized) {
-  // CostModel keeps references to its profile and spec: they must outlive it.
-  const SimTime per_iter = 1e-5;
-  const gpu::DeviceProfile profile = gpu::nvidia_k40m();
-  const PipelineSpec unopt_spec = stencil_like(32, 16, 16, 2, 2, 0);
-  const PipelineSpec opt_spec = stencil_like(32, 16, 16, 2, 2, 1);
-  const CostModel unopt(profile, unopt_spec, per_iter);
-  const CostModel opt(profile, opt_spec, per_iter);
-  EXPECT_GT(unopt.chunk_cost(2).copy_in, opt.chunk_cost(2).copy_in);
-  EXPECT_EQ(unopt.chunk_cost(2).copy_out, opt.chunk_cost(2).copy_out);
 }
 
 // --- execution equivalence: the optimizer must never change results ---

@@ -82,7 +82,7 @@ TEST(Task, RunsForItsDurationAndExecutesPayload) {
   Simulator sim;
   Engine eng(sim, "e", 1);
   bool ran = false;
-  auto t = Task::create(eng, 2.5, "t", [&] { ran = true; });
+  auto t = Task::create(eng, 2.5, [&] { ran = true; });
   t->submit(0.0);
   sim.run_all();
   EXPECT_TRUE(ran);
@@ -94,7 +94,7 @@ TEST(Task, RunsForItsDurationAndExecutesPayload) {
 TEST(Task, ReleaseTimeDelaysStart) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t = Task::create(eng, 1.0, "t");
+  auto t = Task::create(eng, 1.0);
   t->submit(3.0);
   sim.run_all();
   EXPECT_DOUBLE_EQ(t->start_time(), 3.0);
@@ -105,8 +105,8 @@ TEST(Task, DependencySequencesAcrossEngines) {
   Simulator sim;
   Engine a(sim, "a", 1);
   Engine b(sim, "b", 1);
-  auto t1 = Task::create(a, 2.0, "t1");
-  auto t2 = Task::create(b, 1.0, "t2");
+  auto t1 = Task::create(a, 2.0);
+  auto t2 = Task::create(b, 1.0);
   t2->depends_on(t1);
   t2->submit(0.0);
   t1->submit(0.0);
@@ -118,10 +118,10 @@ TEST(Task, DependencySequencesAcrossEngines) {
 TEST(Task, DependencyOnCompletedTaskIsNoOp) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t1 = Task::create(eng, 1.0, "t1");
+  auto t1 = Task::create(eng, 1.0);
   t1->submit(0.0);
   sim.run_all();
-  auto t2 = Task::create(eng, 1.0, "t2");
+  auto t2 = Task::create(eng, 1.0);
   t2->depends_on(t1);
   t2->submit(sim.now());
   sim.run_all();
@@ -131,8 +131,8 @@ TEST(Task, DependencyOnCompletedTaskIsNoOp) {
 TEST(Task, CapacityOneEngineSerialises) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t1 = Task::create(eng, 2.0, "t1");
-  auto t2 = Task::create(eng, 2.0, "t2");
+  auto t1 = Task::create(eng, 2.0);
+  auto t2 = Task::create(eng, 2.0);
   t1->submit(0.0);
   t2->submit(0.0);
   sim.run_all();
@@ -144,9 +144,9 @@ TEST(Task, CapacityOneEngineSerialises) {
 TEST(Task, CapacityTwoEngineRunsTwoConcurrently) {
   Simulator sim;
   Engine eng(sim, "e", 2);
-  auto t1 = Task::create(eng, 2.0, "t1");
-  auto t2 = Task::create(eng, 2.0, "t2");
-  auto t3 = Task::create(eng, 2.0, "t3");
+  auto t1 = Task::create(eng, 2.0);
+  auto t2 = Task::create(eng, 2.0);
+  auto t3 = Task::create(eng, 2.0);
   t1->submit(0.0);
   t2->submit(0.0);
   t3->submit(0.0);
@@ -162,7 +162,7 @@ TEST(Task, FifoOrderWithinEngine) {
   std::vector<std::string> order;
   std::vector<TaskPtr> tasks;
   for (int i = 0; i < 4; ++i) {
-    auto t = Task::create(eng, 1.0, "t" + std::to_string(i));
+    auto t = Task::create(eng, 1.0);
     t->on_complete([&, i] { order.push_back("t" + std::to_string(i)); });
     tasks.push_back(t);
   }
@@ -174,7 +174,7 @@ TEST(Task, FifoOrderWithinEngine) {
 TEST(Task, OnCompleteAfterDoneRunsImmediately) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t = Task::create(eng, 1.0, "t");
+  auto t = Task::create(eng, 1.0);
   t->submit(0.0);
   sim.run_all();
   bool called = false;
@@ -185,8 +185,8 @@ TEST(Task, OnCompleteAfterDoneRunsImmediately) {
 TEST(Task, OnStartFiresAtServiceStart) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto blocker = Task::create(eng, 3.0, "blocker");
-  auto t = Task::create(eng, 1.0, "t");
+  auto blocker = Task::create(eng, 3.0);
+  auto t = Task::create(eng, 1.0);
   SimTime started_at = -1.0;
   t->on_start([&] { started_at = sim.now(); });
   blocker->submit(0.0);
@@ -198,7 +198,7 @@ TEST(Task, OnStartFiresAtServiceStart) {
 TEST(Task, DoubleSubmitThrows) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t = Task::create(eng, 1.0, "t");
+  auto t = Task::create(eng, 1.0);
   t->submit(0.0);
   EXPECT_THROW(t->submit(0.0), Error);
 }
@@ -206,14 +206,14 @@ TEST(Task, DoubleSubmitThrows) {
 TEST(Task, NegativeDurationThrows) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  EXPECT_THROW(Task::create(eng, -1.0, "t"), Error);
+  EXPECT_THROW(Task::create(eng, -1.0), Error);
 }
 
 TEST(Engine, BusyTimeAccumulates) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t1 = Task::create(eng, 2.0, "t1");
-  auto t2 = Task::create(eng, 3.0, "t2");
+  auto t1 = Task::create(eng, 2.0);
+  auto t2 = Task::create(eng, 3.0);
   t1->submit(0.0);
   t2->submit(0.0);
   sim.run_all();
@@ -391,8 +391,8 @@ TEST(Trace, InternTableSurvivesClear) {
 TEST(Task, ZeroDurationTaskCompletesAtItsStartTime) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto before = Task::create(eng, 1.5, "before");
-  auto marker = Task::create(eng, 0.0, "marker");
+  auto before = Task::create(eng, 1.5);
+  auto marker = Task::create(eng, 0.0);
   marker->depends_on(before);
   before->submit(0.0);
   marker->submit(0.0);
@@ -408,7 +408,7 @@ TEST(Task, SameTimestampTasksCompleteInSubmissionOrder) {
   std::vector<int> order;
   std::vector<TaskPtr> tasks;
   for (int i = 0; i < 8; ++i) {
-    auto t = Task::create(eng, 0.0, "z" + std::to_string(i));
+    auto t = Task::create(eng, 0.0);
     t->on_complete([&, i] { order.push_back(i); });
     tasks.push_back(t);
   }
@@ -422,8 +422,8 @@ TEST(Task, SameTimestampTasksCompleteInSubmissionOrder) {
 TEST(Engine, BusyTimeProRatesInFlightWork) {
   Simulator sim;
   Engine eng(sim, "e", 1);
-  auto t1 = Task::create(eng, 2.0, "t1");
-  auto t2 = Task::create(eng, 3.0, "t2");
+  auto t1 = Task::create(eng, 2.0);
+  auto t2 = Task::create(eng, 3.0);
   t1->submit(0.0);
   t2->submit(0.0);
   // At t=1.0, t1 is halfway through service: exactly 1.0s of busy time has
@@ -445,7 +445,7 @@ TEST(TaskArena, RecyclesSlotsAndTracksHighWater) {
   for (int round = 0; round < 16; ++round) {
     std::vector<TaskPtr> batch;
     for (int i = 0; i < 8; ++i) {
-      auto t = Task::create(eng, 0.5, "t");
+      auto t = Task::create(eng, 0.5);
       t->submit(sim.now());
       batch.push_back(std::move(t));
     }
@@ -463,9 +463,9 @@ TEST(TaskArena, DroppedUnsubmittedTaskReleasesSuccessorEdges) {
   Simulator sim;
   Engine eng(sim, "e", 1);
   TaskArena& arena = sim.extension<TaskArena>();
-  auto succ = Task::create(eng, 1.0, "succ");
+  auto succ = Task::create(eng, 1.0);
   {
-    auto pred = Task::create(eng, 1.0, "pred");
+    auto pred = Task::create(eng, 1.0);
     succ->depends_on(pred);
     // pred dropped without ever being submitted: succ keeps waiting (the
     // dependency can never fire) but no references leak.
@@ -519,12 +519,12 @@ RunResult run_mixed_workload(int jobs) {
   for (int j = 0; j < jobs; ++j) {
     const StringId lane = lanes[static_cast<std::size_t>(j % 16)];
     const SimTime release = 1e-7 * static_cast<double>(j);
-    auto up = Task::create(h2d, 1e-6 * (1 + j % 5), "up");
+    auto up = Task::create(h2d, 1e-6 * (1 + j % 5));
     up->set_span(trace, SpanKind::H2D, lane, up_l, 128, -1);
-    auto k = Task::create(compute, 1e-6 * (2 + j % 7), "k");
+    auto k = Task::create(compute, 1e-6 * (2 + j % 7));
     k->set_span(trace, SpanKind::Kernel, lane, k_l, 0, -1);
     k->depends_on(up);
-    auto down = Task::create(d2h, j % 3 == 0 ? 0.0 : 1e-6, "down");
+    auto down = Task::create(d2h, j % 3 == 0 ? 0.0 : 1e-6);
     down->set_span(trace, SpanKind::D2H, lane, down_l, 128, -1);
     down->depends_on(k);
     for (auto* t : {&up, &k, &down}) {

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <vector>
 
-#include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "gpu/device_profile.hpp"
 
@@ -160,18 +159,6 @@ TEST(WindowFn, AdaptiveScheduleRejectsWindowFunctions) {
   a.split.window_fn = [](std::int64_t k) { return std::make_pair(k, k + 1); };
   spec.arrays = {a};
   EXPECT_THROW(Pipeline(g, spec), Error);
-}
-
-TEST(WindowFn, CostModelRejectsWindowFunctions) {
-  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
-  std::byte* host = g.host_alloc(1 * MiB);
-  PipelineSpec spec;
-  spec.loop_begin = 0;
-  spec.loop_end = 8;
-  ArraySpec a{"in", MapType::To, host, sizeof(double), {64, 4}, SplitSpec{}};
-  a.split.window_fn = [](std::int64_t k) { return std::make_pair(k, k + 1); };
-  spec.arrays = {a};
-  EXPECT_THROW(CostModel(g.profile(), spec, usec(1.0)), Error);
 }
 
 }  // namespace

@@ -189,7 +189,6 @@ int main(int argc, char** argv) {
       tr.name = name;
       if (opt.tune) {
         core::TuneOptions topt;
-        topt.dry_run = true;
         topt.kernel_cost = core::KernelCostHint{job.flops_per_iter, job.bytes_per_iter};
         topt.tune_jobs = opt.tune_jobs;
         tr.tune = core::autotune(g, job.spec, job.kernel, topt);

@@ -226,7 +226,6 @@ void run_tune(std::ostream& os, const gpupipe::core::PipelineSpec& spec,
   gpupipe::gpu::Gpu g(profile, gpupipe::gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
   gpupipe::core::TuneOptions topt;
-  topt.dry_run = true;
   topt.kernel_cost =
       gpupipe::core::KernelCostHint{cost.flops_per_iter, cost.bytes_per_iter};
   topt.tune_jobs = tune_jobs;
@@ -259,7 +258,7 @@ void run_tune(std::ostream& os, const gpupipe::core::PipelineSpec& spec,
     return;
   }
   os << "autotune: " << r.explored.size() << " candidates ("
-     << r.explored.size() - pruned - infeasible << " measured, " << pruned << " pruned, "
+     << r.explored.size() - pruned - infeasible << " replayed, " << pruned << " pruned, "
      << infeasible << " infeasible), best chunk " << r.chunk_size << " x " << r.num_streams
      << " streams (" << r.best_time << " s)\n";
   char line[128];

@@ -512,7 +512,6 @@ int main(int argc, char** argv) {
         auto it = tuned.find(key);
         if (it == tuned.end()) {
           core::TuneOptions topt;
-          topt.dry_run = true;
           topt.kernel_cost = core::KernelCostHint{job.flops_per_iter, job.bytes_per_iter};
           topt.tune_jobs = *opt.tune_jobs;
           const core::TuneResult tr =
