@@ -7,7 +7,7 @@
 // sub-region per device concurrently, and results land in the shared host
 // arrays. The demo scales a row-streaming workload across 1 and 2 identical
 // K40m-class devices, then across a heterogeneous K40m + HD7970 pair, and
-// validates every result.
+// validates every result (exit status 1 when any is wrong).
 //
 // This demo shows STATIC partitioning — weights fixed up front, fixed
 // device set, boundary windows re-uploaded from the host. The repo also
@@ -86,6 +86,7 @@ bool verify(const std::vector<double>& in, const std::vector<double>& out) {
 }  // namespace
 
 int main() {
+  bool all_verified = true;
   auto run = [&](const char* label, const std::vector<gpu::DeviceProfile>& profiles,
                  std::vector<double> weights = {}) {
     auto ctx = gpu::make_shared_context();
@@ -110,7 +111,9 @@ int main() {
       const auto [lo, hi] = mp.slice(i);
       printf(" [%lld,%lld)", static_cast<long long>(lo), static_cast<long long>(hi));
     }
-    printf("  %s\n", verify(in, out) ? "verified" : "WRONG RESULT");
+    const bool ok = verify(in, out);
+    all_verified = all_verified && ok;
+    printf("  %s\n", ok ? "verified" : "WRONG RESULT");
 
     // Per-device telemetry: each sub-pipeline reports under "dev<i>.".
     telemetry::Registry reg;
@@ -138,5 +141,5 @@ int main() {
   // AMD device, whose per-transfer setup cost dominates at this chunk size.
   // Weights are workload knowledge here; core::autotune could derive them.
   run("K40m + HD7970 (85/15)", {gpu::nvidia_k40m(), gpu::amd_hd7970()}, {0.85, 0.15});
-  return 0;
+  return all_verified ? 0 : 1;
 }

@@ -45,19 +45,24 @@ std::size_t dry_worker_count(int tune_jobs) {
 }
 
 /// Runs the first iteration of `spec` alone (one chunk, one stream) and
-/// returns its kernel's service time less the launch latency: the kernel's
-/// measured seconds per iteration.
-SimTime probe_seconds_per_iter(gpu::Gpu& g, PipelineSpec spec,
-                               const KernelFactory& make_kernel) {
+/// returns its kernel's measured seconds per iteration.
+SimTime probe(gpu::Gpu& g, PipelineSpec spec, const KernelFactory& make_kernel) {
   spec.chunk_size = 1;
   spec.num_streams = 1;
   spec.loop_end = std::min(spec.loop_end, spec.loop_begin + 1);
-  Pipeline probe(g, spec);
-  probe.run(make_kernel);
-  return std::max(0.0, probe.last_kernel_time() - g.profile().kernel_launch_latency);
+  Pipeline p(g, spec);
+  p.run(make_kernel);
+  return probe_seconds_per_iter(g, p.last_kernel_time(), 1);
 }
 
 }  // namespace
+
+SimTime probe_seconds_per_iter(const gpu::Gpu& g, SimTime kernel_time, std::int64_t iters) {
+  const gpu::DeviceProfile& p = g.profile();
+  return std::max(0.0, kernel_time - p.stream_arbitration(g.live_streams()) -
+                           p.kernel_launch_latency) /
+         static_cast<double>(std::max<std::int64_t>(iters, 1));
+}
 
 TuneResult autotune(gpu::Gpu& g, PipelineSpec spec, const KernelFactory& make_kernel,
                     const TuneOptions& options) {
@@ -77,7 +82,7 @@ TuneResult autotune(gpu::Gpu& g, PipelineSpec spec, const KernelFactory& make_ke
     cost.flops_per_iter = options.kernel_cost->flops_per_iter;
     cost.bytes_per_iter = options.kernel_cost->bytes_per_iter;
   } else {
-    cost.seconds_per_iter = probe_seconds_per_iter(g, spec, make_kernel);
+    cost.seconds_per_iter = probe(g, spec, make_kernel);
   }
   const Bytes limit = spec.mem_limit ? std::min(*spec.mem_limit, g.device_mem_free())
                                      : g.device_mem_free();

@@ -91,6 +91,14 @@ struct TuneOptions {
 TuneResult autotune(gpu::Gpu& g, PipelineSpec spec, const KernelFactory& make_kernel,
                     const TuneOptions& options = {});
 
+/// A probe kernel's device time per loop iteration, the seed both probes
+/// hand the sweep (autotune's one-chunk probe and the adaptive schedule's
+/// first chunk): its service time `kernel_time` over `iters` iterations,
+/// less what dry_run adds back to every replayed kernel itself — the
+/// stream-arbitration charge of the streams live on `g` (read at once after
+/// the probe ran) and the launch latency.
+SimTime probe_seconds_per_iter(const gpu::Gpu& g, SimTime kernel_time, std::int64_t iters);
+
 /// The sweep behind autotune and the adaptive re-chunk: every (chunk,
 /// streams) pair of `chunks` x `streams` (distinct values, chunks at most
 /// the trip count) in explored order, chunks outer. A candidate is

@@ -5,25 +5,25 @@
 namespace gpupipe::core {
 
 RingBuffer::RingBuffer(gpu::Gpu& gpu, const ArraySpec& spec, std::int64_t ring_len)
-    : gpu_(gpu), spec_(spec), ring_len_(ring_len) {
-  spec_.validate();
+    : gpu_(gpu), ring_len_(ring_len) {
+  spec.validate();
   require(ring_len_ >= 1, "ring length must be >= 1");
   // Never allocate more ring slots than the host array has indices.
-  ring_len_ = std::min(ring_len_, spec_.dims[spec_.split.dim]);
+  ring_len_ = std::min(ring_len_, spec.dims[spec.split.dim]);
 
-  view_.elem = spec_.elem_size;
+  view_.elem = spec.elem_size;
   view_.ring = ring_len_;
-  if (spec_.split.dim == 0) {
+  if (spec.split.dim == 0) {
     view_.block2d = false;
-    view_.slab = static_cast<Bytes>(spec_.inner_elems()) * spec_.elem_size;
+    view_.slab = static_cast<Bytes>(spec.inner_elems()) * spec.elem_size;
     view_.height = 1;
     footprint_ = static_cast<Bytes>(ring_len_) * view_.slab;
     view_.base = gpu_.device_malloc(footprint_);
     view_.pitch = view_.slab;
   } else {
     view_.block2d = true;
-    view_.height = spec_.dims[0];
-    const Bytes width = static_cast<Bytes>(ring_len_) * spec_.elem_size;
+    view_.height = spec.dims[0];
+    const Bytes width = static_cast<Bytes>(ring_len_) * spec.elem_size;
     gpu::Pitched p = gpu_.device_malloc_pitched(width, static_cast<Bytes>(view_.height));
     view_.base = p.ptr;
     view_.pitch = p.pitch;
@@ -46,125 +46,23 @@ Bytes RingBuffer::predict_footprint(const gpu::Gpu& gpu, const ArraySpec& spec,
          static_cast<Bytes>(spec.dims[0]);
 }
 
-Bytes RingBuffer::run_bytes(std::int64_t count) const {
-  if (spec_.split.dim == 0) return static_cast<Bytes>(count) * view_.slab;
-  return static_cast<Bytes>(count) * spec_.elem_size * static_cast<Bytes>(view_.height);
-}
-
-template <typename Fn>
-void RingBuffer::for_segments(std::int64_t a, std::int64_t b, Fn&& fn) const {
-  require(0 <= a && a < b, "split index range must be non-empty and non-negative");
-  require(b <= spec_.dims[spec_.split.dim], "split index range exceeds array extent");
-  require(b - a <= ring_len_, "range larger than the ring buffer");
-  std::int64_t idx = a;
-  while (idx < b) {
-    const std::int64_t slot = idx % ring_len_;
-    const std::int64_t count = std::min(b - idx, ring_len_ - slot);
-    fn(slot, idx, count);
-    idx += count;
-  }
-}
-
-int RingBuffer::copy_in(gpu::Stream& s, std::int64_t a, std::int64_t b) {
-  int transfers = 0;
-  if (spec_.split.dim == 0) {
-    for_segments(a, b, [&](std::int64_t slot, std::int64_t idx, std::int64_t count) {
-      ++transfers;
-      gpu_.memcpy_h2d_async(view_.base + slot * view_.slab,
-                            spec_.host + idx * view_.slab,
-                            static_cast<Bytes>(count) * view_.slab, s);
-    });
+RingGeometry RingBuffer::geometry(const ArraySpec& spec) const {
+  RingGeometry g;
+  g.base = view_.base;
+  g.pitch = view_.pitch;
+  g.cols = ring_len_;
+  g.host = spec.host;
+  g.host_cols = spec.dims[spec.split.dim];
+  if (!view_.block2d) {
+    g.unit = view_.slab;
+    g.slab = true;
   } else {
-    const Bytes spitch = static_cast<Bytes>(spec_.dims[1]) * spec_.elem_size;
-    for_segments(a, b, [&](std::int64_t slot, std::int64_t idx, std::int64_t count) {
-      ++transfers;
-      gpu_.memcpy2d_h2d_async(view_.base + slot * spec_.elem_size, view_.pitch,
-                              spec_.host + idx * spec_.elem_size, spitch,
-                              static_cast<Bytes>(count) * spec_.elem_size,
-                              static_cast<Bytes>(view_.height), s);
-    });
+    g.unit = spec.elem_size;
+    g.rows = view_.height;
+    g.host_pitch = static_cast<Bytes>(spec.dims[1]) * spec.elem_size;
+    g.host_rows = spec.dims[0];
   }
-  h2d_copies_ += transfers;
-  h2d_bytes_ += run_bytes(b - a);
-  return transfers;
-}
-
-int RingBuffer::copy_out(gpu::Stream& s, std::int64_t a, std::int64_t b) {
-  int transfers = 0;
-  if (spec_.split.dim == 0) {
-    for_segments(a, b, [&](std::int64_t slot, std::int64_t idx, std::int64_t count) {
-      ++transfers;
-      gpu_.memcpy_d2h_async(spec_.host + idx * view_.slab,
-                            view_.base + slot * view_.slab,
-                            static_cast<Bytes>(count) * view_.slab, s);
-    });
-  } else {
-    const Bytes dpitch = static_cast<Bytes>(spec_.dims[1]) * spec_.elem_size;
-    for_segments(a, b, [&](std::int64_t slot, std::int64_t idx, std::int64_t count) {
-      ++transfers;
-      gpu_.memcpy2d_d2h_async(spec_.host + idx * spec_.elem_size, dpitch,
-                              view_.base + slot * spec_.elem_size, view_.pitch,
-                              static_cast<Bytes>(count) * spec_.elem_size,
-                              static_cast<Bytes>(view_.height), s);
-    });
-  }
-  d2h_copies_ += transfers;
-  d2h_bytes_ += run_bytes(b - a);
-  return transfers;
-}
-
-void RingBuffer::copy_in_run(gpu::Stream& s, std::int64_t slot, std::int64_t index,
-                             std::int64_t count) {
-  require(0 <= slot && count >= 1 && slot + count <= ring_len_,
-          "transfer run does not fit the ring");
-  require(0 <= index && index + count <= spec_.dims[spec_.split.dim],
-          "transfer run exceeds array extent");
-  if (spec_.split.dim == 0) {
-    gpu_.memcpy_h2d_async(view_.base + slot * view_.slab, spec_.host + index * view_.slab,
-                          static_cast<Bytes>(count) * view_.slab, s);
-  } else {
-    const Bytes spitch = static_cast<Bytes>(spec_.dims[1]) * spec_.elem_size;
-    gpu_.memcpy2d_h2d_async(view_.base + slot * spec_.elem_size, view_.pitch,
-                            spec_.host + index * spec_.elem_size, spitch,
-                            static_cast<Bytes>(count) * spec_.elem_size,
-                            static_cast<Bytes>(view_.height), s);
-  }
-  ++h2d_copies_;
-  h2d_bytes_ += run_bytes(count);
-}
-
-void RingBuffer::copy_out_run(gpu::Stream& s, std::int64_t slot, std::int64_t index,
-                              std::int64_t count) {
-  require(0 <= slot && count >= 1 && slot + count <= ring_len_,
-          "transfer run does not fit the ring");
-  require(0 <= index && index + count <= spec_.dims[spec_.split.dim],
-          "transfer run exceeds array extent");
-  if (spec_.split.dim == 0) {
-    gpu_.memcpy_d2h_async(spec_.host + index * view_.slab, view_.base + slot * view_.slab,
-                          static_cast<Bytes>(count) * view_.slab, s);
-  } else {
-    const Bytes dpitch = static_cast<Bytes>(spec_.dims[1]) * spec_.elem_size;
-    gpu_.memcpy2d_d2h_async(spec_.host + index * spec_.elem_size, dpitch,
-                            view_.base + slot * spec_.elem_size, view_.pitch,
-                            static_cast<Bytes>(count) * spec_.elem_size,
-                            static_cast<Bytes>(view_.height), s);
-  }
-  ++d2h_copies_;
-  d2h_bytes_ += run_bytes(count);
-}
-
-void RingBuffer::append_ranges(std::vector<gpu::MemRange>& out, std::int64_t a,
-                               std::int64_t b) const {
-  for_segments(a, b, [&](std::int64_t slot, std::int64_t /*idx*/, std::int64_t count) {
-    if (spec_.split.dim == 0) {
-      out.push_back({view_.base + slot * view_.slab, static_cast<Bytes>(count) * view_.slab,
-                     0, 1});
-    } else {
-      out.push_back({view_.base + slot * spec_.elem_size,
-                     static_cast<Bytes>(count) * spec_.elem_size, view_.pitch,
-                     static_cast<Bytes>(view_.height)});
-    }
-  });
+  return g;
 }
 
 }  // namespace gpupipe::core

@@ -13,10 +13,13 @@
 //   * block2d — split dimension 1 of a 2-D array: each index is a column;
 //               the buffer is pitched and transfers are 2-D strided copies
 //               (cudaMemcpy2DAsync in the paper's prototype).
+// Both are shapes of one RingGeometry, as the tile rings of
+// core/tile_pipeline.hpp are: one PlanArrayBinding (core/plan.hpp) ships
+// every plan segment of all three through it, so a ring buffer only
+// allocates, frees and addresses its ring.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/spec.hpp"
 #include "gpu/gpu.hpp"
@@ -52,7 +55,29 @@ struct BufferView {
   }
 };
 
+/// Where one mapped array lives on both ends of its transfers: split index
+/// i of host row r sits at `host + r * host_pitch + i * unit`, and in the
+/// device ring at `base + (r mod rows) * pitch + (i mod cols) * unit`. A
+/// slab ring is one row of `unit`-byte slabs, a column-block ring `rows`
+/// rows of one-element columns (each copy ships all of them), and a tile
+/// ring (core/tile_pipeline.hpp) wraps in both dimensions.
+/// PlanArrayBinding (core/plan.hpp) moves plan segments through it.
+struct RingGeometry {
+  std::byte* base = nullptr;
+  Bytes pitch = 0;              ///< bytes between ring rows
+  Bytes unit = 0;               ///< bytes per split index within a row
+  std::int64_t cols = 1;        ///< ring slots per row
+  std::int64_t rows = 1;        ///< ring rows
+  std::byte* host = nullptr;
+  Bytes host_pitch = 0;         ///< bytes between host rows
+  std::int64_t host_cols = 0;   ///< host split-index extent
+  std::int64_t host_rows = 1;   ///< host rows
+  bool slab = false;            ///< one contiguous row per index: 1-D copies
+};
+
 /// One mapped array's device ring buffer, bound to a Gpu for its lifetime.
+/// It allocates and frees the ring and addresses it; PlanArrayBinding
+/// issues its transfers.
 class RingBuffer {
  public:
   /// Allocates a ring of `ring_len` split-dim indices for `spec`.
@@ -64,65 +89,22 @@ class RingBuffer {
   /// Device bytes this ring occupies.
   Bytes footprint() const { return footprint_; }
   std::int64_t ring_len() const { return ring_len_; }
-  const ArraySpec& spec() const { return spec_; }
   const BufferView& view() const { return view_; }
 
-  /// Re-points the host side at a different allocation of identical shape.
-  void rebind_host(std::byte* host) {
-    require(host != nullptr, "rebind_host: pointer is null");
-    spec_.host = host;
-  }
+  /// This ring and the host array of `spec` (the spec it was allocated
+  /// for, or one of identical shape) as a PlanArrayBinding addresses them.
+  RingGeometry geometry(const ArraySpec& spec) const;
 
   /// Predicts the footprint of a ring without allocating it (used by the
   /// memory-limit solver before buffers exist).
   static Bytes predict_footprint(const gpu::Gpu& gpu, const ArraySpec& spec,
                                  std::int64_t ring_len);
 
-  /// Enqueues host->device copies for split indices [a, b) on `s`
-  /// (split into two transfers when the range wraps the ring).
-  /// Returns the number of transfers issued.
-  int copy_in(gpu::Stream& s, std::int64_t a, std::int64_t b);
-  /// Enqueues device->host copies for split indices [a, b) on `s`.
-  /// Returns the number of transfers issued.
-  int copy_out(gpu::Stream& s, std::int64_t a, std::int64_t b);
-
-  /// Enqueues one host->device copy for the non-wrapping run of `count`
-  /// split indices starting at host index `index` / ring slot `slot` (a
-  /// plan segment after optimization may cover less than a node's full
-  /// [begin, end) range, so the executor transfers segment by segment).
-  void copy_in_run(gpu::Stream& s, std::int64_t slot, std::int64_t index, std::int64_t count);
-  /// Enqueues one device->host copy for a non-wrapping run.
-  void copy_out_run(gpu::Stream& s, std::int64_t slot, std::int64_t index, std::int64_t count);
-
-  /// Appends the device memory ranges covering split indices [a, b) to
-  /// `out` (up to two ranges when wrapping) — used to declare kernel memory
-  /// effects for hazard validation.
-  void append_ranges(std::vector<gpu::MemRange>& out, std::int64_t a, std::int64_t b) const;
-
-  /// Lifetime transfer counters of this ring (telemetry; plain integer
-  /// accumulation, no allocation).
-  std::int64_t h2d_copies() const { return h2d_copies_; }
-  std::int64_t d2h_copies() const { return d2h_copies_; }
-  Bytes h2d_bytes() const { return h2d_bytes_; }
-  Bytes d2h_bytes() const { return d2h_bytes_; }
-
  private:
-  /// Bytes one non-wrapping run of `count` split indices moves.
-  Bytes run_bytes(std::int64_t count) const;
-  /// Invokes `fn(slot_start, idx_start, count)` for each non-wrapping
-  /// segment of [a, b).
-  template <typename Fn>
-  void for_segments(std::int64_t a, std::int64_t b, Fn&& fn) const;
-
   gpu::Gpu& gpu_;
-  ArraySpec spec_;
   std::int64_t ring_len_;
   Bytes footprint_ = 0;
   BufferView view_;
-  std::int64_t h2d_copies_ = 0;
-  std::int64_t d2h_copies_ = 0;
-  Bytes h2d_bytes_ = 0;
-  Bytes d2h_bytes_ = 0;
 };
 
 }  // namespace gpupipe::core

@@ -26,7 +26,7 @@ void Pipeline::rebind_host(std::string_view array_name, std::byte* host) {
     throw Error("pipeline has no mapped array named '" + std::string(array_name) + "'");
   ArrayState& a = arrays_[it->second];
   a.spec.host = host;
-  a.ring->rebind_host(host);
+  a.binding->rebind_host(host);
 }
 
 const BufferView& Pipeline::view_of(std::string_view name) const {
@@ -93,7 +93,7 @@ void Pipeline::configure_buffers() {
   for (auto& a : arrays_) {
     a.ring =
         std::make_unique<RingBuffer>(gpu_, a.spec, ring_len_for_spec(a.spec, chunk_size_, s));
-    a.binding = std::make_unique<RingBufferBinding>(*a.ring);
+    a.binding = std::make_unique<PlanArrayBinding>(gpu_, a.ring->geometry(a.spec));
     bindings.push_back(a.binding.get());
   }
   PlanCache& cache = PlanCache::instance();
@@ -155,10 +155,10 @@ void Pipeline::collect_metrics(telemetry::Registry& reg, const std::string& pref
     const std::string rp = prefix + "ring." + a.spec.name + ".";
     reg.gauge(rp + "len").set(static_cast<double>(a.ring->ring_len()));
     reg.gauge(rp + "footprint_bytes").set(static_cast<double>(a.ring->footprint()));
-    reg.counter(rp + "h2d_copies").add(a.ring->h2d_copies());
-    reg.counter(rp + "d2h_copies").add(a.ring->d2h_copies());
-    reg.counter(rp + "h2d_bytes").add(static_cast<std::int64_t>(a.ring->h2d_bytes()));
-    reg.counter(rp + "d2h_bytes").add(static_cast<std::int64_t>(a.ring->d2h_bytes()));
+    reg.counter(rp + "h2d_copies").add(a.binding->h2d_copies());
+    reg.counter(rp + "d2h_copies").add(a.binding->d2h_copies());
+    reg.counter(rp + "h2d_bytes").add(static_cast<std::int64_t>(a.binding->h2d_bytes()));
+    reg.counter(rp + "d2h_bytes").add(static_cast<std::int64_t>(a.binding->d2h_bytes()));
   }
 }
 
@@ -241,9 +241,7 @@ void Pipeline::print_plan(std::ostream& os) const {
 std::int64_t Pipeline::adaptive_chunk_size(SimTime probe_kernel_time,
                                            std::int64_t probe_chunk) const {
   DryRunCost cost;
-  cost.seconds_per_iter =
-      std::max(0.0, probe_kernel_time - gpu_.profile().kernel_launch_latency) /
-      static_cast<double>(std::max<std::int64_t>(probe_chunk, 1));
+  cost.seconds_per_iter = probe_seconds_per_iter(gpu_, probe_kernel_time, probe_chunk);
   std::vector<std::int64_t> chunks;
   for (std::int64_t c = 1; c <= spec_.iterations(); c *= 2) chunks.push_back(c);
   // Keyed as the static spec it replays, so the sweep shares the plan cache.

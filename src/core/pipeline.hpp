@@ -163,7 +163,7 @@ class Pipeline {
   struct ArrayState {
     ArraySpec spec;
     std::unique_ptr<RingBuffer> ring;
-    std::unique_ptr<RingBufferBinding> binding;
+    std::unique_ptr<PlanArrayBinding> binding;
   };
 
   /// (Re)allocates ring buffers, recompiles the plan, and re-binds the

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "common/log.hpp"
@@ -68,9 +69,9 @@ struct IndexRun {
   std::int64_t count = 0;
 };
 
-/// One mapped array's ring cells while a builder emits its plan — the
-/// plan-time mirror of the device ring both PlanBuilder::pipeline and
-/// PlanBuilder::tiles drive. Per cell (a 1-D ring slot, or a column of a
+/// One mapped array's ring cells while emit_steps emits its plan — the
+/// plan-time mirror of the device ring, for PlanBuilder::pipeline and
+/// PlanBuilder::tiles alike. Per cell (a 1-D ring slot, or a column of a
 /// tile ring buffer): the host index and row range resident in it, the copy
 /// that landed it, the nodes that read it since, and the drain group that
 /// last emptied it. Rows ride along per column, not per (row, column) cell:
@@ -179,10 +180,10 @@ struct CopyShape {
   bool tiled = false;
 };
 
-/// The node-emitting half both builders share: per-array ring cells and
-/// copy shapes, guard and upload emission with halo reuse, and the
-/// accounting of the naive schedule the OptReport measures savings
-/// against. The builders own the loop structure.
+/// The node-emitting half of the builders: per-array ring cells and copy
+/// shapes, guard and upload emission with halo reuse, and the accounting of
+/// the naive schedule the OptReport measures savings against. emit_steps
+/// owns the loop structure.
 class PlanEmitter {
  public:
   PlanEmitter(ExecutionPlan& plan, std::vector<CopyShape> shapes, int opt_level)
@@ -202,6 +203,7 @@ class PlanEmitter {
       cells_[ai].reset(plan_.arrays[ai].ring_len, elide_);
   }
 
+  const std::vector<PlanArrayInfo>& arrays() const { return plan_.arrays; }
   RingCells& cells(int array) { return cells_[static_cast<std::size_t>(array)]; }
   PlanNode& node(int id) { return plan_.nodes[static_cast<std::size_t>(id)]; }
 
@@ -448,7 +450,7 @@ class PlanEmitter {
   }
 
   /// One piece per run of runs_ — per buffer-row run of [rlo, rhi) for tile
-  /// blocks (row-outer, the order the tile binding copies in), once for
+  /// blocks (row-outer, the order PlanArrayBinding copies in), once for
   /// 1-D rings — and the node's bytes as their sum.
   void fill_segments(PlanNode& n, const CopyShape& shape, std::int64_t ring_len,
                      std::int64_t rlo, std::int64_t rhi) const {
@@ -494,6 +496,270 @@ class PlanEmitter {
   std::int64_t stitched_nodes_ = 0;
   std::vector<Bytes> stitched_by_array_;
   std::vector<Bytes> saved_by_array_;
+};
+
+/// One step's block of one mapped array: split indices [lo, hi) over host
+/// rows [row_lo, row_hi). 1-D blocks name no rows (0, 0): their copies
+/// span every row of an index.
+struct Block {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  std::int64_t row_lo = 0;
+  std::int64_t row_hi = 0;
+};
+
+/// The one emission loop of both builders. A region is bands of steps — a
+/// 1-D loop is one band of chunks, a tile loop ni bands of nj tiles — and
+/// the step with counter n issues on stream n mod num_streams. Each step
+/// emits, in order: its stream's barrier (bands after the first), the
+/// uploads of every input block (split at a shard halo's recv_lo), the
+/// first step's halo pushes, the kernel, and the drains of every output
+/// block. `Region` supplies only the band and step counts, each step's
+/// blocks and their check, the shard halos, and the kernel's range and
+/// label (ChunkSteps, TileSteps).
+template <typename Region>
+void emit_steps(PlanEmitter& e, const Region& region, int num_streams, std::int64_t counter) {
+  const std::vector<PlanArrayInfo>& arrays = e.arrays();
+  const std::size_t ns = static_cast<std::size_t>(num_streams);
+  std::vector<Block> blocks(arrays.size());
+  std::vector<int> group;
+  std::vector<int> prev_band_tails;
+  std::vector<bool> barrier_done;
+  std::vector<bool> used;
+  std::vector<int> band_tail;
+
+  for (std::int64_t band = 0; band < region.bands(); ++band) {
+    // Band start: nothing stays resident across bands (the new band
+    // overwrites the buffer rows); the barrier below protects the rows the
+    // new band will overwrite.
+    if (band > 0) e.reset();
+    barrier_done.assign(ns, prev_band_tails.empty());
+    used.assign(ns, false);
+    band_tail.assign(ns, -1);
+
+    for (std::int64_t step = 0; step < region.steps(); ++step, ++counter) {
+      const int stream = static_cast<int>(counter % num_streams);
+      const std::size_t si = static_cast<std::size_t>(stream);
+      const std::int64_t tile_i = Region::tiled ? band : -1;
+      const std::int64_t tile_j = Region::tiled ? step : -1;
+      used[si] = true;
+      if (!barrier_done[si]) {
+        PlanNode b;
+        b.op = PlanOp::Barrier;
+        b.stream = stream;
+        b.tile_i = band;
+        b.deps = prev_band_tails;
+        b.label = "band" + std::to_string(band) + " barrier";
+        e.add(std::move(b));
+        barrier_done[si] = true;
+      }
+      region.blocks(band, step, blocks);
+
+      // ---- copy-in: every input's block ----
+      group.clear();
+      for (std::size_t ai = 0; ai < arrays.size(); ++ai) {
+        if (!is_input(arrays[ai].map)) continue;
+        const Block& b = blocks[ai];
+        region.check(ai, b);
+        if (b.lo >= b.hi) continue;
+        PlanNode proto;
+        proto.op = PlanOp::H2D;
+        proto.stream = stream;
+        proto.array = static_cast<int>(ai);
+        proto.chunk = counter;
+        proto.row_begin = b.row_lo;
+        proto.row_end = b.row_hi;
+        proto.tile_i = tile_i;
+        proto.tile_j = tile_j;
+        const int window_guard = e.open_window(proto, b.lo, b.hi);
+        // A shard's foreign tail [recv_lo, hi) lands via P2P from the
+        // neighbour that owns it; everything below recv_lo comes from the
+        // host as usual. Other regions have no halo and upload the whole
+        // block from the host.
+        const ShardHalo* hal = region.halo(ai);
+        const std::int64_t recv_lo =
+            hal && hal->recv_peer >= 0 ? std::clamp(hal->recv_lo, b.lo, b.hi) : b.hi;
+        if (b.lo < recv_lo) {
+          const int id = e.upload(proto, b.lo, recv_lo, window_guard);
+          if (id >= 0) group.push_back(id);
+        }
+        if (recv_lo < b.hi) {
+          proto.op = PlanOp::P2pRecv;
+          proto.peer = hal->recv_peer;
+          const int id = e.upload(proto, recv_lo, b.hi, window_guard);
+          if (id >= 0) group.push_back(id);
+        }
+      }
+      e.group(group);
+
+      // ---- halo push: forward the first window's head to the neighbour ----
+      // The overlap a neighbour's trailing windows need is exactly the head
+      // of this shard's own first window, so it is already on the device
+      // after the first chunk's upload — one P2P copy forwards it without
+      // touching the host. Registered as a reader of its slots so any later
+      // overwrite (ring wrap) orders after the push.
+      if (band == 0 && step == 0) {
+        for (std::size_t ai = 0; ai < arrays.size(); ++ai) {
+          const ShardHalo* hal = region.halo(ai);
+          if (!hal || hal->send_peer < 0) continue;
+          const PlanArrayInfo& a = arrays[ai];
+          ensure(is_input(a.map), "shard halo send on a non-input array");
+          RingCells& rc = e.cells(static_cast<int>(ai));
+          const Block& b = blocks[ai];
+          if (!(b.lo < hal->send_hi && hal->send_hi <= b.hi))
+            require(false, "array '" + a.name +
+                               "': shard halo send range must sit inside the first chunk's "
+                               "window");
+          PlanNode p;
+          p.op = PlanOp::P2pSend;
+          p.stream = stream;
+          p.array = static_cast<int>(ai);
+          p.chunk = counter;
+          p.begin = b.lo;
+          p.end = hal->send_hi;
+          p.peer = hal->send_peer;
+          e.fill_all(p);
+          for (std::int64_t idx = p.begin; idx < p.end; ++idx)
+            push_dep(p.deps, rc.producer(idx, 0, 1));
+          p.records_event = true;
+          p.label = range_label("p2p-send ", a.name, p.begin, p.end) + "->s" +
+                    std::to_string(p.peer);
+          const int pid = e.add(std::move(p));
+          e.node(pid).event_node = pid;
+          for (std::int64_t idx = b.lo; idx < hal->send_hi; ++idx) rc.read(idx, pid);
+        }
+      }
+
+      // ---- kernel ----
+      PlanNode k;
+      k.op = PlanOp::Kernel;
+      k.stream = stream;
+      k.chunk = counter;
+      k.tile_i = tile_i;
+      k.tile_j = tile_j;
+      region.kernel(k, band, step, counter);
+      for (std::size_t ai = 0; ai < arrays.size(); ++ai) {
+        const Block& b = blocks[ai];
+        const int array = static_cast<int>(ai);
+        if (is_input(arrays[ai].map))
+          k.accesses.push_back({array, b.lo, b.hi, b.row_lo, b.row_hi, false});
+        if (is_output(arrays[ai].map))
+          k.accesses.push_back({array, b.lo, b.hi, b.row_lo, b.row_hi, true});
+      }
+      const int kid = e.kernel(std::move(k));
+
+      // ---- copy-out: drain every output's block ----
+      group.clear();
+      for (std::size_t ai = 0; ai < arrays.size(); ++ai) {
+        if (!is_output(arrays[ai].map)) continue;
+        const Block& b = blocks[ai];
+        region.check(ai, b);
+        PlanNode d;
+        d.op = PlanOp::D2H;
+        d.stream = stream;
+        d.array = static_cast<int>(ai);
+        d.chunk = counter;
+        d.row_begin = b.row_lo;
+        d.row_end = b.row_hi;
+        d.tile_i = tile_i;
+        d.tile_j = tile_j;
+        group.push_back(e.drain(std::move(d), b.lo, b.hi, kid));
+      }
+      e.drains(group);
+      band_tail[si] = group.empty() ? kid : group.back();
+    }
+
+    // Band end: the next band's barrier waits on each used stream's tail.
+    prev_band_tails.clear();
+    for (std::size_t s = 0; s < ns; ++s)
+      if (used[s] && band_tail[s] >= 0) prev_band_tails.push_back(band_tail[s]);
+  }
+}
+
+/// PlanBuilder::pipeline's region: one band of the chunks of [from, to); a
+/// block is the array's split window over the chunk.
+class ChunkSteps {
+ public:
+  static constexpr bool tiled = false;
+
+  ChunkSteps(const PipelineSpec& spec, std::int64_t chunk, std::int64_t from, std::int64_t to)
+      : spec_(spec),
+        chunk_(chunk),
+        from_(from),
+        to_(to),
+        halo_of_(spec.arrays.size(), nullptr) {
+    for (const ShardHalo& h : spec.halos) halo_of_[static_cast<std::size_t>(h.array)] = &h;
+  }
+
+  std::int64_t bands() const { return 1; }
+  std::int64_t steps() const { return (to_ - from_) / chunk_ + ((to_ - from_) % chunk_ != 0); }
+
+  void blocks(std::int64_t /*band*/, std::int64_t step, std::vector<Block>& out) const {
+    const auto [lo, hi] = range(step);
+    for (std::size_t ai = 0; ai < out.size(); ++ai) {
+      const auto [w_lo, w_hi] = layout::window_of(spec_.arrays[ai], lo, hi);
+      out[ai] = {w_lo, w_hi, 0, 0};
+    }
+  }
+  void check(std::size_t /*ai*/, const Block& /*b*/) const {}
+  /// The shard halo wiring of array `ai` (none for solo regions).
+  const ShardHalo* halo(std::size_t ai) const { return halo_of_[ai]; }
+
+  void kernel(PlanNode& k, std::int64_t /*band*/, std::int64_t step,
+              std::int64_t counter) const {
+    std::tie(k.begin, k.end) = range(step);
+    k.label = "chunk";
+    append_int(k.label, counter);
+  }
+
+ private:
+  std::pair<std::int64_t, std::int64_t> range(std::int64_t step) const {
+    const std::int64_t lo = from_ + step * chunk_;
+    return {lo, std::min(lo + chunk_, to_)};
+  }
+
+  const PipelineSpec& spec_;
+  std::int64_t chunk_;
+  std::int64_t from_;
+  std::int64_t to_;
+  std::vector<const ShardHalo*> halo_of_;
+};
+
+/// PlanBuilder::tiles' region: ni bands of nj tiles; a block is the
+/// array's tile block, which must lie inside the host matrix.
+class TileSteps {
+ public:
+  static constexpr bool tiled = true;
+
+  explicit TileSteps(const TileSpec& spec) : spec_(spec) {}
+
+  std::int64_t bands() const { return spec_.ni; }
+  std::int64_t steps() const { return spec_.nj; }
+
+  void blocks(std::int64_t i, std::int64_t j, std::vector<Block>& out) const {
+    for (std::size_t ai = 0; ai < out.size(); ++ai) {
+      const TileArraySpec& a = spec_.arrays[ai];
+      const std::int64_t rs = a.row_split.start(i);
+      const std::int64_t cs = a.col_split.start(j);
+      out[ai] = {cs, cs + a.col_split.window, rs, rs + a.row_split.window};
+    }
+  }
+  void check(std::size_t ai, const Block& b) const {
+    const TileArraySpec& a = spec_.arrays[ai];
+    if (!(0 <= b.row_lo && b.row_lo < b.row_hi && b.row_hi <= a.rows && 0 <= b.lo &&
+          b.lo < b.hi && b.hi <= a.cols))
+      require(false, "tile array '" + a.name + "': block outside the host matrix");
+  }
+  const ShardHalo* halo(std::size_t /*ai*/) const { return nullptr; }
+
+  void kernel(PlanNode& k, std::int64_t i, std::int64_t j, std::int64_t /*counter*/) const {
+    k.begin = j;
+    k.end = j + 1;
+    k.label = "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
+  }
+
+ private:
+  const TileSpec& spec_;
 };
 
 ExecutionPlan predicted_pipeline(const PipelineSpec& spec, const gpu::Gpu* g) {
@@ -560,123 +826,7 @@ ExecutionPlan PlanBuilder::pipeline(const PipelineSpec& spec, std::int64_t chunk
       shapes.push_back({a.elem_size, static_cast<Bytes>(a.dims[0]), false});
   }
   PlanEmitter e(plan, std::move(shapes), spec.opt_level);
-
-  // Shard halo wiring (empty for solo regions): which arrays receive part of
-  // their window device-to-device, and which push their first-window head to
-  // a neighbour shard.
-  std::vector<const ShardHalo*> halo_of(spec.arrays.size(), nullptr);
-  for (const ShardHalo& h : spec.halos)
-    halo_of[static_cast<std::size_t>(h.array)] = &h;
-
-  std::vector<int> group;
-  std::int64_t counter = state.first_chunk;
-  for (std::int64_t lo = from; lo < to; lo += chunk_size, ++counter) {
-    const std::int64_t hi = std::min(lo + chunk_size, to);
-    const int stream = static_cast<int>(counter % num_streams);
-
-    // ---- copy-in: the input slices the chunk's windows need ----
-    group.clear();
-    for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-      const ArraySpec& a = spec.arrays[ai];
-      if (!is_input(a.map)) continue;
-      const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-      if (w_lo >= w_hi) continue;
-      PlanNode proto;
-      proto.op = PlanOp::H2D;
-      proto.stream = stream;
-      proto.array = static_cast<int>(ai);
-      proto.chunk = counter;
-      const int window_guard = e.open_window(proto, w_lo, w_hi);
-      // A shard's foreign tail [recv_lo, w_hi) lands via P2P from the
-      // neighbour that owns it; everything below recv_lo comes from the
-      // host as usual. Solo regions have no halo and upload the whole
-      // window from the host.
-      const ShardHalo* hal = halo_of[ai];
-      const std::int64_t recv_lo =
-          hal && hal->recv_peer >= 0 ? std::clamp(hal->recv_lo, w_lo, w_hi) : w_hi;
-      if (w_lo < recv_lo) {
-        const int id = e.upload(proto, w_lo, recv_lo, window_guard);
-        if (id >= 0) group.push_back(id);
-      }
-      if (recv_lo < w_hi) {
-        proto.op = PlanOp::P2pRecv;
-        proto.peer = hal->recv_peer;
-        const int id = e.upload(proto, recv_lo, w_hi, window_guard);
-        if (id >= 0) group.push_back(id);
-      }
-    }
-    e.group(group);
-
-    // ---- halo push: forward the first window's head to the neighbour ----
-    // The overlap a neighbour's trailing windows need is exactly the head of
-    // this shard's own first window, so it is already on the device after the
-    // first chunk's upload — one P2P copy forwards it without touching the
-    // host. Registered as a reader of its slots so any later overwrite (ring
-    // wrap) orders after the push.
-    if (lo == from) {
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const ShardHalo* hal = halo_of[ai];
-        if (!hal || hal->send_peer < 0) continue;
-        const ArraySpec& a = spec.arrays[ai];
-        ensure(is_input(a.map), "shard halo send on a non-input array");
-        RingCells& rc = e.cells(static_cast<int>(ai));
-        const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-        require(w_lo < hal->send_hi && hal->send_hi <= w_hi,
-                "array '" + a.name + "': shard halo send range must sit inside the "
-                "first chunk's window");
-        PlanNode p;
-        p.op = PlanOp::P2pSend;
-        p.stream = stream;
-        p.array = static_cast<int>(ai);
-        p.chunk = counter;
-        p.begin = w_lo;
-        p.end = hal->send_hi;
-        p.peer = hal->send_peer;
-        e.fill_all(p);
-        for (std::int64_t idx = p.begin; idx < p.end; ++idx)
-          push_dep(p.deps, rc.producer(idx, 0, 1));
-        p.records_event = true;
-        p.label = range_label("p2p-send ", a.name, p.begin, p.end) + "->s" +
-                  std::to_string(p.peer);
-        const int pid = e.add(std::move(p));
-        e.node(pid).event_node = pid;
-        for (std::int64_t idx = w_lo; idx < hal->send_hi; ++idx) rc.read(idx, pid);
-      }
-    }
-
-    // ---- kernel ----
-    PlanNode k;
-    k.op = PlanOp::Kernel;
-    k.stream = stream;
-    k.chunk = counter;
-    k.begin = lo;
-    k.end = hi;
-    k.label = "chunk";
-    append_int(k.label, counter);
-    for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-      const ArraySpec& a = spec.arrays[ai];
-      const int array = static_cast<int>(ai);
-      const auto [w_lo, w_hi] = layout::window_of(a, lo, hi);
-      if (is_input(a.map)) k.accesses.push_back({array, w_lo, w_hi, 0, 0, false});
-      if (is_output(a.map)) k.accesses.push_back({array, w_lo, w_hi, 0, 0, true});
-    }
-    const int kid = e.kernel(std::move(k));
-
-    // ---- copy-out: drain produced output slices ----
-    group.clear();
-    for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-      const ArraySpec& a = spec.arrays[ai];
-      if (!is_output(a.map)) continue;
-      const auto [o_lo, o_hi] = layout::window_of(a, lo, hi);
-      PlanNode d;
-      d.op = PlanOp::D2H;
-      d.stream = stream;
-      d.array = static_cast<int>(ai);
-      d.chunk = counter;
-      group.push_back(e.drain(std::move(d), o_lo, o_hi, kid));
-    }
-    e.drains(group);
-  }
+  emit_steps(e, ChunkSteps(spec, chunk_size, from, to), num_streams, state.first_chunk);
   e.finish(report);
   return plan;
 }
@@ -779,119 +929,7 @@ ExecutionPlan PlanBuilder::tiles(const TileSpec& spec, const TileBuildState& sta
     shapes.push_back({a.elem_size, 1, true});
   }
   PlanEmitter e(plan, std::move(shapes), spec.opt_level);
-
-  // The host block of tile (i, j) of array `a`: rows [rs, rh) x columns
-  // [cs, ch), which must lie inside the host matrix.
-  struct Block {
-    std::int64_t rs, rh, cs, ch;
-  };
-  auto block_of = [](const TileArraySpec& a, std::int64_t i, std::int64_t j) {
-    const Block b{a.row_split.start(i), a.row_split.start(i) + a.row_split.window,
-                  a.col_split.start(j), a.col_split.start(j) + a.col_split.window};
-    require(0 <= b.rs && b.rs < b.rh && b.rh <= a.rows && 0 <= b.cs && b.cs < b.ch &&
-                b.ch <= a.cols,
-            "tile array '" + a.name + "': block outside the host matrix");
-    return b;
-  };
-
-  const std::size_t ns = static_cast<std::size_t>(spec.num_streams);
-  std::vector<int> prev_band_tails;
-  std::vector<int> group;
-  std::int64_t tile_counter = 0;
-
-  for (std::int64_t i = 0; i < spec.ni; ++i) {
-    // Band start: nothing stays resident across bands (the new band
-    // overwrites the buffer rows); the barrier below protects the rows the
-    // new band will overwrite.
-    e.reset();
-    std::vector<bool> barrier_done(ns, prev_band_tails.empty());
-    std::vector<bool> used(ns, false);
-    std::vector<int> band_tail(ns, -1);
-
-    for (std::int64_t j = 0; j < spec.nj; ++j, ++tile_counter) {
-      const int stream = static_cast<int>(tile_counter % spec.num_streams);
-      const std::size_t si = static_cast<std::size_t>(stream);
-      used[si] = true;
-      if (!barrier_done[si]) {
-        PlanNode b;
-        b.op = PlanOp::Barrier;
-        b.stream = stream;
-        b.tile_i = i;
-        b.deps = prev_band_tails;
-        b.label = "band" + std::to_string(i) + " barrier";
-        e.add(std::move(b));
-        barrier_done[si] = true;
-      }
-
-      // ---- copy-in: the columns of every input's block ----
-      group.clear();
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const TileArraySpec& a = spec.arrays[ai];
-        if (!is_input(a.map)) continue;
-        const Block b = block_of(a, i, j);
-        PlanNode proto;
-        proto.op = PlanOp::H2D;
-        proto.stream = stream;
-        proto.array = static_cast<int>(ai);
-        proto.chunk = tile_counter;
-        proto.row_begin = b.rs;
-        proto.row_end = b.rh;
-        proto.tile_i = i;
-        proto.tile_j = j;
-        const int window_guard = e.open_window(proto, b.cs, b.ch);
-        const int id = e.upload(std::move(proto), b.cs, b.ch, window_guard);
-        if (id >= 0) group.push_back(id);
-      }
-      e.group(group);
-
-      // ---- kernel ----
-      PlanNode k;
-      k.op = PlanOp::Kernel;
-      k.stream = stream;
-      k.chunk = tile_counter;
-      k.begin = j;
-      k.end = j + 1;
-      k.tile_i = i;
-      k.tile_j = j;
-      k.label = "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const TileArraySpec& a = spec.arrays[ai];
-        const std::int64_t rs = a.row_split.start(i);
-        const std::int64_t rh = rs + a.row_split.window;
-        const std::int64_t cs = a.col_split.start(j);
-        const std::int64_t ch = cs + a.col_split.window;
-        const int array = static_cast<int>(ai);
-        if (is_input(a.map)) k.accesses.push_back({array, cs, ch, rs, rh, false});
-        if (is_output(a.map)) k.accesses.push_back({array, cs, ch, rs, rh, true});
-      }
-      const int kid = e.kernel(std::move(k));
-
-      // ---- copy-out ----
-      group.clear();
-      for (std::size_t ai = 0; ai < spec.arrays.size(); ++ai) {
-        const TileArraySpec& a = spec.arrays[ai];
-        if (!is_output(a.map)) continue;
-        const Block b = block_of(a, i, j);
-        PlanNode d;
-        d.op = PlanOp::D2H;
-        d.stream = stream;
-        d.array = static_cast<int>(ai);
-        d.chunk = tile_counter;
-        d.row_begin = b.rs;
-        d.row_end = b.rh;
-        d.tile_i = i;
-        d.tile_j = j;
-        group.push_back(e.drain(std::move(d), b.cs, b.ch, kid));
-      }
-      e.drains(group);
-      band_tail[si] = group.empty() ? kid : group.back();
-    }
-
-    // Band end: the next band's barrier waits on each used stream's tail.
-    prev_band_tails.clear();
-    for (std::size_t s = 0; s < ns; ++s)
-      if (used[s] && band_tail[s] >= 0) prev_band_tails.push_back(band_tail[s]);
-  }
+  emit_steps(e, TileSteps(spec), spec.num_streams, 0);
   e.finish(report);
   return plan;
 }
@@ -1066,6 +1104,70 @@ void ExecutionPlan::to_dot(std::ostream& os) const {
   os << "}\n";
 }
 
+// --- PlanArrayBinding ---
+
+int PlanArrayBinding::transfer(gpu::Stream& s, const PlanNode& n, bool to_device) {
+  // Segment-driven: optimized nodes may cover less than [begin, end) (the
+  // resident halo was elided), so the segments are the authoritative
+  // description of what moves.
+  Bytes moved = 0;
+  for (const PlanSegment& seg : n.segments) {
+    const auto height = static_cast<std::int64_t>(seg.height);
+    require(0 <= seg.slot && seg.count >= 1 && seg.slot + seg.count <= ring_.cols &&
+                0 <= seg.row_slot && seg.row_slot + height <= ring_.rows,
+            "transfer run does not fit the ring");
+    require(0 <= seg.index && seg.index + seg.count <= ring_.host_cols && 0 <= seg.row &&
+                seg.row + height <= ring_.host_rows,
+            "transfer run exceeds array extent");
+    std::byte* dev = ring_.base + static_cast<Bytes>(seg.row_slot) * ring_.pitch +
+                     static_cast<Bytes>(seg.slot) * ring_.unit;
+    std::byte* host = ring_.host + static_cast<Bytes>(seg.row) * ring_.host_pitch +
+                      static_cast<Bytes>(seg.index) * ring_.unit;
+    if (ring_.slab && to_device)
+      gpu_->memcpy_h2d_async(dev, host, seg.bytes(), s);
+    else if (ring_.slab)
+      gpu_->memcpy_d2h_async(host, dev, seg.bytes(), s);
+    else if (to_device)
+      gpu_->memcpy2d_h2d_async(dev, ring_.pitch, host, ring_.host_pitch, seg.width, seg.height,
+                               s);
+    else
+      gpu_->memcpy2d_d2h_async(host, ring_.host_pitch, dev, ring_.pitch, seg.width, seg.height,
+                               s);
+    moved += seg.bytes();
+  }
+  const auto copies = static_cast<std::int64_t>(n.segments.size());
+  if (to_device) {
+    h2d_copies_ += copies;
+    h2d_bytes_ += moved;
+  } else {
+    d2h_copies_ += copies;
+    d2h_bytes_ += moved;
+  }
+  return static_cast<int>(copies);
+}
+
+void PlanArrayBinding::append_effects(std::vector<gpu::MemRange>& out,
+                                      const PlanAccess& a) const {
+  require(0 <= a.lo && a.lo < a.hi, "split index range must be non-empty and non-negative");
+  require(a.hi <= ring_.host_cols, "split index range exceeds array extent");
+  const bool all_rows = a.row_hi <= a.row_lo;
+  const std::int64_t row_lo = all_rows ? 0 : a.row_lo;
+  const std::int64_t row_hi = all_rows ? ring_.rows : a.row_hi;
+  for (std::int64_t r = row_lo; r < row_hi;) {
+    const std::int64_t slot_r = r % ring_.rows;
+    const std::int64_t nr = std::min(row_hi - r, ring_.rows - slot_r);
+    layout::for_ring_segments(a.lo, a.hi, ring_.cols,
+                              [&](std::int64_t slot, std::int64_t, std::int64_t count) {
+                                out.push_back({ring_.base +
+                                                   static_cast<Bytes>(slot_r) * ring_.pitch +
+                                                   static_cast<Bytes>(slot) * ring_.unit,
+                                               static_cast<Bytes>(count) * ring_.unit,
+                                               ring_.pitch, static_cast<Bytes>(nr)});
+                              });
+    r += nr;
+  }
+}
+
 // --- PlanExecutor ---
 
 void PlanExecutor::bind(std::vector<gpu::Stream*> streams,
@@ -1172,7 +1274,7 @@ void PlanExecutor::enqueue(const ExecutionPlan& plan, const PlanKernelMaker& mak
       case PlanOp::Kernel: {
         gpu::KernelDesc desc = make_kernel(n);
         for (const PlanAccess& acc : n.accesses)
-          arrays_[static_cast<std::size_t>(acc.array)]->append_ranges(
+          arrays_[static_cast<std::size_t>(acc.array)]->append_effects(
               acc.write ? desc.effects.writes : desc.effects.reads, acc);
         if (desc.name == "kernel") desc.name = n.label;
         last_kernel_ = gpu_.launch(s, std::move(desc));
@@ -1220,9 +1322,8 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
   sim::Engine compute(sim, "compute", profile.max_concurrent_kernels);
   sim::Engine command(sim, "command", 1 << 20);
 
-  const int live = cost.live_streams > 0 ? cost.live_streams : plan.num_streams;
-  const SimTime sched =
-      live > 1 ? profile.sched_overhead_per_stream * static_cast<double>(live - 1) : 0.0;
+  const SimTime sched = profile.stream_arbitration(
+      cost.live_streams > 0 ? cost.live_streams : plan.num_streams);
 
   SimTime host = 0.0;
   std::vector<sim::TaskPtr> tail(static_cast<std::size_t>(plan.num_streams));
@@ -1290,11 +1391,7 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
         const bool pinned = plan.arrays[static_cast<std::size_t>(n.array)].pinned;
         for (const PlanSegment& seg : n.segments) {
           const Bytes total = seg.bytes();
-          const double bw = profile.transfer_bandwidth(total, seg.width, pinned);
-          const SimTime dur = profile.copy_setup_latency +
-                              profile.copy_segment_latency *
-                                  static_cast<double>(seg.height - 1) +
-                              static_cast<double>(total) / bw;
+          const SimTime dur = profile.copy_time(seg.width, seg.height, pinned);
           const char* what =
               in ? (seg.height > 1 ? "h2d2D" : "h2d") : (seg.height > 1 ? "d2h2D" : "d2h");
           submit(
@@ -1306,15 +1403,14 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
       }
       case PlanOp::Kernel: {
         const double iters = static_cast<double>(n.end - n.begin);
-        SimTime dur = profile.kernel_launch_latency;
+        SimTime dur = 0.0;
         Bytes kernel_bytes = 0;
         if (cost.flops_per_iter > 0.0 || cost.bytes_per_iter > 0.0) {
-          const double fl = cost.flops_per_iter * iters;
           const double by = cost.bytes_per_iter * iters;
-          dur += std::max(fl / profile.peak_flops, by / profile.mem_bandwidth);
+          dur = profile.kernel_time(cost.flops_per_iter * iters, by);
           kernel_bytes = static_cast<Bytes>(by);
         } else {
-          dur += cost.seconds_per_iter * iters;
+          dur = profile.kernel_launch_latency + cost.seconds_per_iter * iters;
         }
         submit(n.stream, compute, dur, sim::SpanKind::Kernel,
                [&]() -> const std::string& { return n.label; }, kernel_bytes, n.id);
@@ -1323,14 +1419,13 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
       case PlanOp::P2pSend:
       case PlanOp::P2pRecv: {
         // Mirrors Gpu::memcpy_p2p_async / memcpy_d2d_async: both ride the
-        // copy engine; the send crosses the bus at PCIe speed, the landing
-        // is a local device-to-device move at memory bandwidth.
+        // copy engine; the send crosses the bus at PCIe speed (a peer of
+        // this plan's own profile), the landing is a local device-to-device
+        // move at memory bandwidth.
         const bool send = n.op == PlanOp::P2pSend;
         for (const PlanSegment& seg : n.segments) {
           const Bytes total = seg.bytes();
-          const double bw = send ? profile.pcie_bandwidth : profile.mem_bandwidth;
-          const SimTime dur =
-              profile.copy_setup_latency + static_cast<double>(total) / bw;
+          const SimTime dur = send ? profile.p2p_time(total, profile) : profile.d2d_time(total);
           submit(
               n.stream, h2d, dur, sim::SpanKind::D2D,
               [&] {
@@ -1346,8 +1441,7 @@ DryRunResult dry_run(const ExecutionPlan& plan, const gpu::DeviceProfile& profil
         // whole point of stitching is never crossing the PCIe bus.
         for (const PlanSegment& seg : n.segments) {
           const Bytes total = seg.bytes();
-          const SimTime dur = profile.copy_setup_latency +
-                              static_cast<double>(total) / profile.mem_bandwidth;
+          const SimTime dur = profile.d2d_time(total);
           submit(
               n.stream, h2d, dur, sim::SpanKind::D2D,
               [&] { return "handoff[" + std::to_string(total) + "B]"; }, total, n.id);

@@ -278,7 +278,8 @@ class PlanBuilder {
   static ExecutionPlan pipeline(const gpu::Gpu& g, const PipelineSpec& spec);
 
   /// Plans a 2-D tiled region (declared in core/tile_pipeline.hpp) at
-  /// `spec.opt_level`, like the 1-D builder.
+  /// `spec.opt_level` through the same emission loop as pipeline(): a
+  /// 1-D loop is one band of this walk.
   static ExecutionPlan tiles(const TileSpec& spec, const TileBuildState& state,
                              OptReport* report = nullptr);
 };
@@ -330,39 +331,44 @@ SolvedShape solve_pipeline_shape(const gpu::Gpu& g, const PipelineSpec& spec, By
 Bytes predicted_pipeline_footprint(const gpu::Gpu& g, const PipelineSpec& spec,
                                    std::int64_t chunk_size, int num_streams);
 
-/// How a PlanExecutor reaches one mapped array's device buffer.
+/// How a PlanExecutor reaches one mapped array, for 1-D and tile rings
+/// alike. It ships each H2D/D2H segment between ring cell (row_slot, slot)
+/// and host element (row, index) of its RingGeometry — one 1-D copy on a
+/// slab ring, one pitched copy of `height` rows of `width` bytes on any
+/// other — and declares each kernel access's device ranges by the same wrap
+/// decomposition the builder used. A segment that does not fit the ring, or
+/// reaches past the host array, is an Error. It counts the copies and bytes
+/// it moves (a Pipeline's `ring.<name>.*` metrics).
 class PlanArrayBinding {
  public:
-  virtual ~PlanArrayBinding() = default;
+  PlanArrayBinding(gpu::Gpu& gpu, const RingGeometry& ring) : gpu_(&gpu), ring_(ring) {}
+
   /// Issues the transfers of an H2D/D2H node on `s`; returns the number of
   /// copy calls made.
-  virtual int transfer(gpu::Stream& s, const PlanNode& n, bool to_device) = 0;
-  /// Appends the device ranges a kernel access covers (hazard effects).
-  virtual void append_ranges(std::vector<gpu::MemRange>& out, const PlanAccess& a) const = 0;
-};
+  int transfer(gpu::Stream& s, const PlanNode& n, bool to_device);
+  /// Appends the device ranges kernel access `a` covers (hazard effects):
+  /// one per ring-row run and ring-slot run. An access naming no host rows
+  /// (1-D plans) covers every ring row.
+  void append_effects(std::vector<gpu::MemRange>& out, const PlanAccess& a) const;
+  /// Re-points the host side at a different allocation of identical shape.
+  void rebind_host(std::byte* host) {
+    require(host != nullptr, "rebind_host: pointer is null");
+    ring_.host = host;
+  }
 
-/// Binding for the 1-D pipeline's RingBuffer.
-class RingBufferBinding final : public PlanArrayBinding {
- public:
-  explicit RingBufferBinding(RingBuffer& ring) : ring_(&ring) {}
-  int transfer(gpu::Stream& s, const PlanNode& n, bool to_device) override {
-    // Segment-driven: optimized nodes may cover less than [begin, end) (the
-    // resident halo was elided), so the segments are the authoritative
-    // description of what moves.
-    for (const auto& seg : n.segments) {
-      if (to_device)
-        ring_->copy_in_run(s, seg.slot, seg.index, seg.count);
-      else
-        ring_->copy_out_run(s, seg.slot, seg.index, seg.count);
-    }
-    return static_cast<int>(n.segments.size());
-  }
-  void append_ranges(std::vector<gpu::MemRange>& out, const PlanAccess& a) const override {
-    ring_->append_ranges(out, a.lo, a.hi);
-  }
+  /// Lifetime transfer counters: copy calls and the bytes they moved.
+  std::int64_t h2d_copies() const { return h2d_copies_; }
+  std::int64_t d2h_copies() const { return d2h_copies_; }
+  Bytes h2d_bytes() const { return h2d_bytes_; }
+  Bytes d2h_bytes() const { return d2h_bytes_; }
 
  private:
-  RingBuffer* ring_;
+  gpu::Gpu* gpu_;
+  RingGeometry ring_;
+  std::int64_t h2d_copies_ = 0;
+  std::int64_t d2h_copies_ = 0;
+  Bytes h2d_bytes_ = 0;
+  Bytes d2h_bytes_ = 0;
 };
 
 /// Builds the KernelDesc for a Kernel node (the executor adds the mapped

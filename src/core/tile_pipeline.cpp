@@ -8,61 +8,6 @@
 
 namespace gpupipe::core {
 
-namespace {
-
-/// PlanArrayBinding over a 2-D (pitched) tile ring buffer: ships each plan
-/// segment as one pitched copy and reconstructs kernel-access device ranges
-/// by the same wrap decomposition the builder used.
-class TileBinding final : public PlanArrayBinding {
- public:
-  TileBinding(gpu::Gpu& gpu, const TileArraySpec& spec, const TileBufferView& view)
-      : gpu_(&gpu), spec_(&spec), view_(&view) {}
-
-  int transfer(gpu::Stream& s, const PlanNode& n, bool to_device) override {
-    const Bytes host_pitch = static_cast<Bytes>(spec_->cols) * spec_->elem_size;
-    int transfers = 0;
-    for (const PlanSegment& seg : n.segments) {
-      std::byte* dev = view_->base + static_cast<Bytes>(seg.row_slot) * view_->pitch +
-                       static_cast<Bytes>(seg.slot) * view_->elem;
-      std::byte* host = spec_->host + static_cast<Bytes>(seg.row) * host_pitch +
-                        static_cast<Bytes>(seg.index) * view_->elem;
-      if (to_device) {
-        gpu_->memcpy2d_h2d_async(dev, view_->pitch, host, host_pitch, seg.width, seg.height,
-                                 s);
-      } else {
-        gpu_->memcpy2d_d2h_async(host, host_pitch, dev, view_->pitch, seg.width, seg.height,
-                                 s);
-      }
-      ++transfers;
-    }
-    return transfers;
-  }
-
-  void append_ranges(std::vector<gpu::MemRange>& out, const PlanAccess& a) const override {
-    for (std::int64_t r = a.row_lo; r < a.row_hi;) {
-      const std::int64_t slot_r = r % view_->ring_rows;
-      const std::int64_t nr = std::min(a.row_hi - r, view_->ring_rows - slot_r);
-      for (std::int64_t c = a.lo; c < a.hi;) {
-        const std::int64_t slot_c = c % view_->ring_cols;
-        const std::int64_t nc = std::min(a.hi - c, view_->ring_cols - slot_c);
-        out.push_back({view_->base + static_cast<Bytes>(slot_r) * view_->pitch +
-                           static_cast<Bytes>(slot_c) * view_->elem,
-                       static_cast<Bytes>(nc) * view_->elem, view_->pitch,
-                       static_cast<Bytes>(nr)});
-        c += nc;
-      }
-      r += nr;
-    }
-  }
-
- private:
-  gpu::Gpu* gpu_;
-  const TileArraySpec* spec_;
-  const TileBufferView* view_;
-};
-
-}  // namespace
-
 void TileArraySpec::validate() const {
   // Each check builds its message only when it fails.
   if (host == nullptr) require(false, "tile array '" + name + "': host pointer is null");
@@ -98,7 +43,7 @@ TilePipeline::TilePipeline(gpu::Gpu& gpu, TileSpec spec)
 
   std::vector<PlanArrayBinding*> bindings;
   bindings.reserve(spec_.arrays.size());
-  arrays_.reserve(spec_.arrays.size());  // bindings point into the elements
+  arrays_.reserve(spec_.arrays.size());
   for (const auto& a : spec_.arrays) {
     ArrayState st;
     st.spec = a;
@@ -114,11 +59,20 @@ TilePipeline::TilePipeline(gpu::Gpu& gpu, TileSpec spec)
         static_cast<Bytes>(ring_cols) * a.elem_size, static_cast<Bytes>(ring_rows));
     st.buffer = p.ptr;
     st.view = TileBufferView{p.ptr, a.elem_size, p.pitch, ring_rows, ring_cols};
+    RingGeometry ring;
+    ring.base = p.ptr;
+    ring.pitch = p.pitch;
+    ring.unit = a.elem_size;
+    ring.cols = ring_cols;
+    ring.rows = ring_rows;
+    ring.host = a.host;
+    ring.host_pitch = static_cast<Bytes>(a.cols) * a.elem_size;
+    ring.host_cols = a.cols;
+    ring.host_rows = a.rows;
+    st.binding = std::make_unique<PlanArrayBinding>(gpu_, ring);
+    bindings.push_back(st.binding.get());
     index_.emplace(a.name, arrays_.size());
     arrays_.push_back(std::move(st));
-    arrays_.back().binding =
-        std::make_unique<TileBinding>(gpu_, arrays_.back().spec, arrays_.back().view);
-    bindings.push_back(arrays_.back().binding.get());
   }
   executor_.bind(streams_, std::move(bindings));
 }

@@ -17,10 +17,14 @@
 // halos shared between bands are re-transferred (documented simplification;
 // the intra-band column elision is where the traffic is).
 //
-// Like the 1-D Pipeline, the schedule is compiled into an ExecutionPlan
-// (PlanBuilder::tiles) and replayed by the shared PlanExecutor — the tile
-// pipeline issues no raw stream operations itself. The plan is rebuilt per
-// run() so out-of-range tile blocks surface at run time, not construction.
+// A 1-D loop is one band of this walk, and the code treats it so: the
+// schedule is compiled into an ExecutionPlan by the builders' one emission
+// loop (PlanBuilder::tiles supplies only the tile blocks), and the shared
+// PlanExecutor ships its segments through the same PlanArrayBinding a 1-D
+// ring uses, here over a pitched RingGeometry that wraps in both
+// dimensions — the tile pipeline issues no raw stream operations itself.
+// The plan is rebuilt per run() so out-of-range tile blocks surface at run
+// time, not construction.
 #pragma once
 
 #include <functional>

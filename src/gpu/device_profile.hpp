@@ -7,6 +7,7 @@
 // the paper's evaluation (NVIDIA Tesla K40m and AMD Radeon HD 7970).
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 #include "common/units.hpp"
@@ -101,6 +102,40 @@ struct DeviceProfile {
     }
     if (!pinned) bw *= pageable_penalty;
     return bw;
+  }
+
+  // --- Service times ---
+  // The one home of each operation's device time: gpu::Gpu charges them
+  // and core::dry_run replays them, so a predicted plan makespan matches
+  // the simulated one bit for bit. Stream arbitration comes on top.
+
+  /// A host<->device copy of `height` rows of `width` contiguous bytes:
+  /// setup, a per-row re-arm for every row after the first, and the bytes
+  /// at transfer_bandwidth.
+  SimTime copy_time(Bytes width, Bytes height, bool pinned) const {
+    const Bytes total = width * height;
+    return copy_setup_latency + copy_segment_latency * static_cast<double>(height - 1) +
+           static_cast<double>(total) / transfer_bandwidth(total, width, pinned);
+  }
+  /// A device-to-device copy of `n` bytes, at device memory bandwidth.
+  SimTime d2d_time(Bytes n) const {
+    return copy_setup_latency + static_cast<double>(n) / mem_bandwidth;
+  }
+  /// A peer-to-peer copy of `n` bytes to `peer`, at the slower bus.
+  SimTime p2p_time(Bytes n, const DeviceProfile& peer) const {
+    return copy_setup_latency + static_cast<double>(n) / std::min(pcie_bandwidth,
+                                                                  peer.pcie_bandwidth);
+  }
+  /// A kernel's roofline: launch latency plus the longer of its compute
+  /// and its memory traffic.
+  SimTime kernel_time(double flops, double bytes) const {
+    return kernel_launch_latency + std::max(flops / peak_flops, bytes / mem_bandwidth);
+  }
+  /// Hardware stream arbitration: what every device operation (not a pure
+  /// command marker) costs extra with `live_streams` streams live.
+  SimTime stream_arbitration(int live_streams) const {
+    return live_streams > 1 ? sched_overhead_per_stream * static_cast<double>(live_streams - 1)
+                            : 0.0;
   }
 };
 

@@ -191,8 +191,7 @@ sim::TaskPtr Gpu::submit(Stream& s, sim::Engine& engine, SimTime duration, sim::
                          MemEffects effects) {
   // Hardware stream arbitration: every extra live stream adds scheduling
   // cost to every operation (except pure command markers).
-  if (&engine != command_.get() && live_streams_ > 1)
-    duration += profile_.sched_overhead_per_stream * (live_streams_ - 1);
+  if (&engine != command_.get()) duration += profile_.stream_arbitration(live_streams_);
 
   auto task = sim::Task::create(engine, duration,
                                 functional() ? std::move(payload) : std::function<void()>{});
@@ -225,13 +224,6 @@ sim::TaskPtr Gpu::submit(Stream& s, sim::Engine& engine, SimTime duration, sim::
 
 // --- Transfers ---
 
-SimTime Gpu::copy_duration(const CopyShape& shape, bool pinned) const {
-  const double bw = profile_.transfer_bandwidth(shape.total(), shape.width, pinned);
-  return profile_.copy_setup_latency +
-         profile_.copy_segment_latency * static_cast<double>(shape.height - 1) +
-         static_cast<double>(shape.total()) / bw;
-}
-
 sim::TaskPtr Gpu::copy_common(Stream& s, sim::Engine& engine, sim::SpanKind kind,
                               std::byte* dst, Bytes dpitch, const std::byte* src, Bytes spitch,
                               CopyShape shape, bool pinned, const char* what) {
@@ -263,8 +255,9 @@ sim::TaskPtr Gpu::copy_common(Stream& s, sim::Engine& engine, sim::SpanKind kind
   if (dst_is_device) effects.writes.push_back({dst, shape.width, dpitch, shape.height});
   if (src_is_device) effects.reads.push_back({src, shape.width, spitch, shape.height});
 
-  return submit(s, engine, copy_duration(shape, pinned), kind, OpLabel{what, shape.total(), 0},
-                shape.total(), std::move(payload), std::move(effects));
+  return submit(s, engine, profile_.copy_time(shape.width, shape.height, pinned), kind,
+                OpLabel{what, shape.total(), 0}, shape.total(), std::move(payload),
+                std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy_h2d_async(std::byte* dst, const std::byte* src, Bytes n, Stream& s) {
@@ -289,10 +282,8 @@ sim::TaskPtr Gpu::memcpy_d2d_async(std::byte* dst, const std::byte* src, Bytes n
   MemEffects effects;
   effects.writes.push_back({dst, n});
   effects.reads.push_back({src, n});
-  const SimTime dur =
-      profile_.copy_setup_latency + static_cast<double>(n) / profile_.mem_bandwidth;
-  return submit(s, *h2d_, dur, sim::SpanKind::D2D, OpLabel{"d2d", n, 0}, n, std::move(payload),
-                std::move(effects));
+  return submit(s, *h2d_, profile_.d2d_time(n), sim::SpanKind::D2D, OpLabel{"d2d", n, 0}, n,
+                std::move(payload), std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy_p2p_async(Gpu& peer, std::byte* dst_on_peer, const std::byte* src,
@@ -307,10 +298,8 @@ sim::TaskPtr Gpu::memcpy_p2p_async(Gpu& peer, std::byte* dst_on_peer, const std:
   MemEffects effects;
   effects.reads.push_back({src, n});
   effects.writes.push_back({dst_on_peer, n});
-  const double bw = std::min(profile_.pcie_bandwidth, peer.profile_.pcie_bandwidth);
-  const SimTime dur = profile_.copy_setup_latency + static_cast<double>(n) / bw;
-  return submit(s, *h2d_, dur, sim::SpanKind::D2D, OpLabel{"p2p", n, 0}, n, std::move(payload),
-                std::move(effects));
+  return submit(s, *h2d_, profile_.p2p_time(n, peer.profile_), sim::SpanKind::D2D,
+                OpLabel{"p2p", n, 0}, n, std::move(payload), std::move(effects));
 }
 
 sim::TaskPtr Gpu::memcpy2d_h2d_async(std::byte* dst, Bytes dpitch, const std::byte* src,
@@ -337,14 +326,9 @@ void Gpu::memcpy_d2h(std::byte* dst, const std::byte* src, Bytes n) {
 
 sim::TaskPtr Gpu::launch(Stream& s, KernelDesc desc) {
   host_advance(profile_.api_call_host_overhead);
-  SimTime duration;
-  if (desc.fixed_duration) {
-    duration = *desc.fixed_duration;
-  } else {
-    const double compute = desc.flops / profile_.peak_flops;
-    const double memory = static_cast<double>(desc.bytes) / profile_.mem_bandwidth;
-    duration = profile_.kernel_launch_latency + std::max(compute, memory);
-  }
+  const SimTime duration =
+      desc.fixed_duration ? *desc.fixed_duration
+                          : profile_.kernel_time(desc.flops, static_cast<double>(desc.bytes));
   return submit(s, *compute_, duration, sim::SpanKind::Kernel,
                 OpLabel{nullptr, 0, intern_name(desc.name)}, desc.bytes, std::move(desc.body),
                 std::move(desc.effects));

@@ -279,7 +279,6 @@ class Gpu {
   };
 
   sim::Engine& d2h() const { return profile_.unified_copy_engine ? *h2d_ : *d2h_engine_; }
-  SimTime copy_duration(const CopyShape& shape, bool pinned) const;
   void host_advance(SimTime t) { ctx_->host_time += t; }
   void wait_for(const sim::TaskPtr& t);
   sim::TaskPtr submit(Stream& s, sim::Engine& engine, SimTime duration, sim::SpanKind kind,

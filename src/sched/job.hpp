@@ -116,6 +116,15 @@ struct JobRecord {
   bool stitched_in = false;       ///< at least one input arrived via handoff
   Bytes stitched_bytes = 0;       ///< host transfer bytes this job avoided
   bool handoff_fallback = false;  ///< a consumed link needed a P2P mirror
+  int mirrors_staged = 0;         ///< P2P mirrors it staged (one per link)
+  bool backpressured = false;     ///< waited at arrival for a ready-queue slot
+  /// Multi-device path (docs/sharding.md): rounds it ran (0 = solo) and the
+  /// halo bytes its shards pushed device to device.
+  int shard_rounds = 0;
+  Bytes p2p_halo_bytes = 0;
+  /// Host transfer bytes of its pipeline (solo jobs; 0 when sharded).
+  Bytes h2d_bytes = 0;
+  Bytes d2h_bytes = 0;
 
   SimTime wait() const { return start - arrival; }
   SimTime service() const { return finish - start; }

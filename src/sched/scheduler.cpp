@@ -27,17 +27,39 @@ int array_index(const core::PipelineSpec& spec, const std::string& name) {
   return -1;
 }
 
-/// The report totals the job records already hold, summed in one place for
-/// run() and the exported counters.
-ScheduleReport job_totals(const std::vector<JobRecord>& records) {
-  ScheduleReport t;
+/// The run totals the job records hold: the report's share, and the ones
+/// only the exported counters and the transfer accessors show.
+struct RunTotals {
+  ScheduleReport report;  ///< every field but start, makespan and jobs
+  std::int64_t sharded_jobs = 0;
+  std::int64_t shard_rounds = 0;
+  Bytes p2p_halo_bytes = 0;
+  Bytes h2d_bytes = 0;  ///< solo pipelines only
+  Bytes d2h_bytes = 0;
+};
+
+/// Sums the job records' facts in one place for run(), the exported
+/// counters and the transfer accessors. `completed` and `rejected` are the
+/// live counts all_terminal() reads.
+RunTotals job_totals(const std::vector<JobRecord>& records, int completed, int rejected) {
+  RunTotals t;
+  ScheduleReport& rep = t.report;
+  rep.completed = completed;
+  rep.rejected = rejected;
   for (const JobRecord& r : records) {
+    rep.backpressure_events += r.backpressured;
     // Every pick that neither starts nor rejects a job defers it once.
-    t.admission_retries += std::max(r.admission_attempts - 1, 0);
-    t.admission_shrinks += r.shrunk;
-    t.deadline_misses += r.deadline_missed;
-    t.stitched_jobs += r.stitched_in || r.stitched_out;
-    t.stitched_bytes += r.stitched_bytes;
+    rep.admission_retries += std::max(r.admission_attempts - 1, 0);
+    rep.admission_shrinks += r.shrunk;
+    rep.deadline_misses += r.deadline_missed;
+    rep.stitched_jobs += r.stitched_in || r.stitched_out;
+    rep.stitched_bytes += r.stitched_bytes;
+    rep.handoff_fallbacks += r.mirrors_staged;
+    t.sharded_jobs += r.shard_rounds > 0;
+    t.shard_rounds += r.shard_rounds;
+    t.p2p_halo_bytes += r.p2p_halo_bytes;
+    t.h2d_bytes += r.h2d_bytes;
+    t.d2h_bytes += r.d2h_bytes;
   }
   return t;
 }
@@ -67,7 +89,6 @@ Scheduler::Scheduler(std::vector<gpu::Gpu*> devices, SchedulerOptions opts)
   require(opts_.max_shards >= 1, "max_shards must be >= 1");
   outstanding_.assign(devices_.size(), 0.0);
   dev_available_.assign(devices_.size(), 1);
-  dev_completed_.assign(devices_.size(), 0);
   dev_events_ = opts_.device_events;
   std::stable_sort(dev_events_.begin(), dev_events_.end(),
                    [](const DeviceEvent& a, const DeviceEvent& b) { return a.time < b.time; });
@@ -122,7 +143,6 @@ int Scheduler::submit(Job job) {
 
   jobs_.push_back(std::move(job));
   records_.push_back(std::move(r));
-  stalled_.push_back(0);
   return id;
 }
 
@@ -180,19 +200,23 @@ ScheduleReport Scheduler::run() {
     advance();
   }
 
-  ScheduleReport rep = job_totals(records_);
+  ScheduleReport rep = job_totals(records_, completed_, rejected_).report;
   rep.start = t0_;
   SimTime last = t0_;
   for (const JobRecord& r : records_)
     if (r.state == JobState::Completed) last = std::max(last, r.finish);
   makespan_ = last - t0_;
   rep.makespan = makespan_;
-  rep.completed = completed_;
-  rep.rejected = rejected_;
-  rep.backpressure_events = backpressure_events_;
-  rep.handoff_fallbacks = handoff_fallbacks_;
   rep.jobs = records_;
   return rep;
+}
+
+Bytes Scheduler::total_h2d_bytes() const {
+  return job_totals(records_, completed_, rejected_).h2d_bytes;
+}
+
+Bytes Scheduler::total_d2h_bytes() const {
+  return job_totals(records_, completed_, rejected_).d2h_bytes;
 }
 
 bool Scheduler::poll_completions() {
@@ -206,7 +230,7 @@ bool Scheduler::poll_completions() {
       // last round drained) — retry now that the picture may have changed.
       if (launch_shard_round(a)) {
         --stalled_shards_;
-        ++shard_rounds_;
+        ++records_[static_cast<std::size_t>(a.id)].shard_rounds;
         record_flight(telemetry::FlightEventKind::Reshard, a.id,
                       a.shard->device_mask(), a.shard->remaining());
         progress = true;
@@ -229,7 +253,7 @@ bool Scheduler::poll_completions() {
         // launch (e.g. every device left) keeps the job active; it retries
         // once a device event or completion changes the picture.
         if (launch_shard_round(a)) {
-          ++shard_rounds_;
+          ++records_[static_cast<std::size_t>(a.id)].shard_rounds;
           record_flight(telemetry::FlightEventKind::Reshard, a.id,
                         a.shard->device_mask(), a.shard->remaining());
           progress = true;
@@ -298,9 +322,9 @@ bool Scheduler::intake() {
 bool Scheduler::try_enqueue(int id) {
   const std::size_t idx = static_cast<std::size_t>(id);
   if (queue_.full()) {
-    if (!stalled_[idx]) {
-      stalled_[idx] = 1;
-      ++backpressure_events_;
+    JobRecord& r = records_[idx];
+    if (!r.backpressured) {
+      r.backpressured = true;
       record_flight(telemetry::FlightEventKind::Backpressure, id);
       log_debug("sched: backpressure — job ", id, " (", jobs_[idx].name,
                 ") waits for a queue slot");
@@ -490,8 +514,7 @@ bool Scheduler::try_start_sharded(int id) {
   }
   a.shard = std::make_unique<ShardRun>(jobs_[idx], devices_, admission_, std::move(so));
   if (!launch_shard_round(a)) return false;
-  ++sharded_jobs_;
-  ++shard_rounds_;
+  r.shard_rounds = 1;
 
   r.state = JobState::Running;
   r.device = a.shard->first_device();
@@ -623,7 +646,7 @@ void Scheduler::complete_job(Active& a) {
     // Rounds already drained and released their admission commits; fold the
     // run's transfer totals into the scheduler counters.
     finish = a.shard->finish_time();
-    p2p_halo_bytes_ += a.shard->p2p_bytes();
+    r.p2p_halo_bytes = a.shard->p2p_bytes();
     a.shard.reset();
   } else {
     for (const auto& ev : a.events) finish = std::max(finish, ev->timestamp());
@@ -631,8 +654,8 @@ void Scheduler::complete_job(Active& a) {
     // pipeline releases its ring buffers and streams (per-stream sync only).
     a.pipeline->wait();
     const core::PipelineStats& st = a.pipeline->stats();
-    h2d_bytes_total_ += st.h2d_bytes;
-    d2h_bytes_total_ += st.d2h_bytes;
+    r.h2d_bytes = st.h2d_bytes;
+    r.d2h_bytes = st.d2h_bytes;
     a.pipeline.reset();
     admission_.release(a.device, a.footprint);
   }
@@ -645,7 +668,6 @@ void Scheduler::complete_job(Active& a) {
   } else if (std::isfinite(a.estimate)) {
     outstanding_[static_cast<std::size_t>(a.device)] -= a.estimate;
   }
-  ++dev_completed_[static_cast<std::size_t>(a.device)];
   ++completed_;
   record_flight(telemetry::FlightEventKind::Complete, a.id,
                 std::llround(r.service() * 1e9));
@@ -822,7 +844,7 @@ void Scheduler::wire_consumer_handoffs(int id, int dev, core::PipelineSpec& spec
         rescue_to_host(*link);
         continue;
       }
-      if (!had) ++handoff_fallbacks_;
+      if (!had) ++records_[idx].mirrors_staged;
       records_[idx].handoff_fallback = true;
       end = &link->mirror;
     }
@@ -1008,29 +1030,30 @@ void Scheduler::sample_at(SimTime t) {
 void Scheduler::collect_metrics(telemetry::Registry& reg, const std::string& prefix) const {
   const std::string p = prefix + "sched.";
   reg.counter(p + "jobs_submitted").add(static_cast<std::int64_t>(jobs_.size()));
-  reg.counter(p + "jobs_completed").add(completed_);
-  reg.counter(p + "jobs_rejected").add(rejected_);
-  reg.counter(p + "backpressure_events").add(backpressure_events_);
-  const ScheduleReport totals = job_totals(records_);
-  reg.counter(p + "admission_retries").add(totals.admission_retries);
-  reg.counter(p + "admission_shrinks").add(totals.admission_shrinks);
-  reg.counter(p + "deadline_misses").add(totals.deadline_misses);
+  const RunTotals totals = job_totals(records_, completed_, rejected_);
+  const ScheduleReport& rep = totals.report;
+  reg.counter(p + "jobs_completed").add(rep.completed);
+  reg.counter(p + "jobs_rejected").add(rep.rejected);
+  reg.counter(p + "backpressure_events").add(rep.backpressure_events);
+  reg.counter(p + "admission_retries").add(rep.admission_retries);
+  reg.counter(p + "admission_shrinks").add(rep.admission_shrinks);
+  reg.counter(p + "deadline_misses").add(rep.deadline_misses);
   if (opts_.shard_threshold > 0) {
     // Gated on the feature so runs without sharding keep their exact
     // metric set (and golden exports) unchanged.
-    reg.counter(p + "sharded_jobs").add(sharded_jobs_);
-    reg.counter(p + "shard_rounds").add(shard_rounds_);
-    reg.counter(p + "p2p_halo_bytes").add(static_cast<std::int64_t>(p2p_halo_bytes_));
+    reg.counter(p + "sharded_jobs").add(totals.sharded_jobs);
+    reg.counter(p + "shard_rounds").add(totals.shard_rounds);
+    reg.counter(p + "p2p_halo_bytes").add(static_cast<std::int64_t>(totals.p2p_halo_bytes));
   }
   if (lineage_jobs_ > 0) {
     // Same gate idea for stitching: mixes without Job::consumes keep their
     // exact metric set (and golden exports) unchanged.
     reg.counter(p + "lineage_jobs").add(lineage_jobs_);
-    reg.counter(p + "stitched_jobs").add(totals.stitched_jobs);
-    reg.counter(p + "stitched_bytes").add(static_cast<std::int64_t>(totals.stitched_bytes));
-    reg.counter(p + "handoff_fallbacks").add(handoff_fallbacks_);
-    reg.counter(p + "h2d_bytes").add(static_cast<std::int64_t>(h2d_bytes_total_));
-    reg.counter(p + "d2h_bytes").add(static_cast<std::int64_t>(d2h_bytes_total_));
+    reg.counter(p + "stitched_jobs").add(rep.stitched_jobs);
+    reg.counter(p + "stitched_bytes").add(static_cast<std::int64_t>(rep.stitched_bytes));
+    reg.counter(p + "handoff_fallbacks").add(rep.handoff_fallbacks);
+    reg.counter(p + "h2d_bytes").add(static_cast<std::int64_t>(totals.h2d_bytes));
+    reg.counter(p + "d2h_bytes").add(static_cast<std::int64_t>(totals.d2h_bytes));
   }
   reg.gauge(p + "makespan_s").set(makespan_);
   reg.gauge(p + "queue_depth_peak").set(static_cast<double>(queue_depth_peak_));
@@ -1066,12 +1089,17 @@ void Scheduler::collect_metrics(telemetry::Registry& reg, const std::string& pre
   auto& depth = reg.histogram(p + "queue_depth", {0, 1, 2, 4, 8, 16, 32});
   for (std::size_t d : queue_depth_samples_) depth.observe(static_cast<double>(d));
 
+  // A job counts on the device it was placed on (a sharded job: its first
+  // round's first device).
+  std::vector<std::int64_t> dev_completed(devices_.size(), 0);
+  for (const JobRecord& r : records_)
+    if (r.state == JobState::Completed) ++dev_completed[static_cast<std::size_t>(r.device)];
   for (int dev = 0; dev < num_devices(); ++dev) {
     const std::string dp = p + "dev" + std::to_string(dev) + ".";
     reg.gauge(dp + "mem_cap_bytes").set(static_cast<double>(admission_.cap(dev)));
     reg.gauge(dp + "committed_peak_bytes")
         .set(static_cast<double>(admission_.committed_peak(dev)));
-    reg.counter(dp + "jobs_completed").add(dev_completed_[static_cast<std::size_t>(dev)]);
+    reg.counter(dp + "jobs_completed").add(dev_completed[static_cast<std::size_t>(dev)]);
     const std::size_t di = static_cast<std::size_t>(dev);
     const SimTime busy = ran_ && di < busy0_.size()
                              ? devices_[di]->compute_busy_time() - busy0_[di]

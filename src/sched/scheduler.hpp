@@ -173,8 +173,8 @@ class Scheduler {
   const std::vector<JobRecord>& records() const { return records_; }
   /// Host-transfer totals summed over every completed solo pipeline — the
   /// denominator/numerator pair behind bench_stitch's savings floor.
-  Bytes total_h2d_bytes() const { return h2d_bytes_total_; }
-  Bytes total_d2h_bytes() const { return d2h_bytes_total_; }
+  Bytes total_h2d_bytes() const;
+  Bytes total_d2h_bytes() const;
 
  private:
   /// One device-resident lineage handoff: a producer's output array stashed
@@ -310,7 +310,6 @@ class Scheduler {
 
   std::vector<Job> jobs_;
   std::vector<JobRecord> records_;
-  std::vector<char> stalled_;  ///< backpressure counted once per job
   std::vector<Bytes> estimate_budget_;  ///< device-0 budget at submit()
   std::vector<int> arrival_order_;
   std::size_t next_pending_ = 0;
@@ -322,7 +321,6 @@ class Scheduler {
   std::vector<char> dev_available_;   ///< elastic membership (DeviceEvents)
   std::vector<DeviceEvent> dev_events_;  ///< sorted by (time, position)
   std::size_t next_dev_event_ = 0;
-  std::vector<std::int64_t> dev_completed_;
   std::vector<SimTime> busy0_;  ///< compute busy time at run() start
   int rr_cursor_ = 0;
 
@@ -332,14 +330,7 @@ class Scheduler {
   SimTime makespan_ = 0.0;
   int completed_ = 0;
   int rejected_ = 0;
-  std::int64_t backpressure_events_ = 0;
-  std::int64_t sharded_jobs_ = 0;
-  std::int64_t shard_rounds_ = 0;
-  Bytes p2p_halo_bytes_ = 0;
   std::int64_t lineage_jobs_ = 0;  ///< jobs submitted with inputs (metric gate)
-  std::int64_t handoff_fallbacks_ = 0;
-  Bytes h2d_bytes_total_ = 0;
-  Bytes d2h_bytes_total_ = 0;
   std::vector<std::unique_ptr<HandoffLink>> links_;
   std::vector<int> lineage_wait_;  ///< arrived, held for producer completion
   std::size_t queue_depth_peak_ = 0;

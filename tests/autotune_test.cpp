@@ -2,6 +2,7 @@
 // adaptive schedule's re-chunk through the same sweep.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/autotune.hpp"
@@ -175,8 +176,10 @@ TEST(Autotune, RejectsTheMeasuredSweep) {
 
 TEST(Autotune, AdaptiveRechunkPicksWhatTheReplaySweepPicks) {
   // bench/ablation_schedule's 4 KiB-row shape: the adaptive schedule probes
-  // chunk 1, then re-chunks to the pick of a replay sweep over the powers
-  // of two at the probe kernel's time per iteration.
+  // chunk 1 on two live streams, then re-chunks to the pick of a replay
+  // sweep over the powers of two. Its seed must be the kernel's own cost —
+  // the roofline — not the probe's service time, which also holds the
+  // stream-arbitration charge every replayed kernel pays again.
   static constexpr std::int64_t n = 4096, m = 512;
   gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
   g.hazards().set_enabled(false);
@@ -187,26 +190,48 @@ TEST(Autotune, AdaptiveRechunkPicksWhatTheReplaySweepPicks) {
   spec.schedule = ScheduleKind::Adaptive;
   const Bytes limit = g.device_mem_free();
 
-  g.trace().set_enabled(true);
   Pipeline p(g, spec);
   p.run(kernel(m, 16.0));
-  SimTime probe = 0.0;  // the first kernel span is the probe's
-  for (const sim::Span& span : g.trace().spans()) {
-    if (span.kind == sim::SpanKind::Kernel) {
-      probe = span.duration();
-      break;
-    }
-  }
-  ASSERT_GT(probe, 0.0);
 
   DryRunCost cost;
-  cost.seconds_per_iter = probe - g.profile().kernel_launch_latency;
+  cost.flops_per_iter = static_cast<double>(m);
+  cost.bytes_per_iter = static_cast<double>(m) * 16.0;
   std::vector<std::int64_t> chunks;
   for (std::int64_t c = 1; c <= n; c *= 2) chunks.push_back(c);
   spec.schedule = ScheduleKind::Static;
   const TuneResult sweep = replay_sweep(g, spec, chunks, {2}, cost, limit, 1);
+  EXPECT_EQ(sweep.chunk_size, 2048);
   EXPECT_EQ(p.effective_chunk_size(), sweep.chunk_size);
-  EXPECT_EQ(sweep.chunk_size, 1024);
+}
+
+TEST(Autotune, ProbeSeedIgnoresOtherLiveStreams) {
+  // Every stream live on the device adds an arbitration charge to the
+  // probe kernel, which the replays add back per kernel themselves. Streams
+  // other tenants hold open must leave the sweep bit-identical, on a shape
+  // whose kernels bound the region (64 KiB rows at 400 bytes per element)
+  // and on the 4 KiB-row ablation shape.
+  struct Shape {
+    std::int64_t n, m;
+    double bytes_per_elem;
+  };
+  for (const Shape sh : {Shape{512, 8192, 400.0}, Shape{4096, 512, 16.0}}) {
+    auto tune = [&sh](int extra_streams) {
+      gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+      g.hazards().set_enabled(false);
+      const Bytes bytes = static_cast<Bytes>(sh.n * sh.m) * sizeof(double);
+      std::byte* in = g.host_alloc(bytes);
+      std::byte* out = g.host_alloc(bytes);
+      for (int i = 0; i < extra_streams; ++i) g.create_stream("tenant" + std::to_string(i));
+      return autotune(g, rows_spec(in, out, sh.n, sh.m), kernel(sh.m, sh.bytes_per_elem));
+    };
+    const TuneResult alone = tune(0);
+    for (int extra : {1, 3}) {
+      const TuneResult shared = tune(extra);
+      EXPECT_EQ(shared.best_time, alone.best_time) << sh.m << " " << extra;
+      EXPECT_EQ(shared.chunk_size, alone.chunk_size) << sh.m << " " << extra;
+      EXPECT_EQ(shared.num_streams, alone.num_streams) << sh.m << " " << extra;
+    }
+  }
 }
 
 TEST(Autotune, RejectsAdaptiveSchedule) {

@@ -1,6 +1,7 @@
 // Tests for the ExecutionPlan IR: executed timelines respect the plan's
 // dependency edges across chunk/stream/window sweeps, static validation
-// rejects tampered plans, the introspection dumps are well-formed, and
+// rejects tampered plans, the builders reject out-of-range blocks and halo
+// wiring with their messages, the introspection dumps are well-formed, and
 // makespan-only dry runs match traced ones bit for bit.
 #include <gtest/gtest.h>
 
@@ -9,12 +10,15 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/layout.hpp"
 #include "core/pipeline.hpp"
 #include "core/plan.hpp"
 #include "core/plan_opt.hpp"
+#include "core/tile_pipeline.hpp"
 #include "gpu/device_profile.hpp"
 #include "gpu/hazard.hpp"
 
@@ -249,6 +253,87 @@ TEST(PlanValidateOnce, CopiesAndAssignmentsStartUnproven) {
   proven = copy;  // now holds the hazardous graph
   EXPECT_FALSE(proven.proven());
   EXPECT_THROW(proven.validate_once(), gpu::HazardError);
+}
+
+// --- Builder rejections -----------------------------------------------------
+
+/// The message of the Error `fn` throws, without its kind and source
+/// location ("" when it throws none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::size_t from = what.find(": ") + 2;
+    return what.substr(from, what.rfind(" [") - from);
+  }
+  return "";
+}
+
+TEST(PlanBuilderRejects, TileBlockOutsideTheHostMatrixNamesTheFirstFailingArray) {
+  // 2 x 2 tiles of 4 x 4 over 8 x 8 matrices. A matrix only 6 columns wide
+  // fails at tile (0, 1), one only 6 rows high at tile (1, 0). Each step
+  // checks its inputs at upload, then its outputs at drain, in array order.
+  std::byte host[8];
+  auto array = [&host](const char* name, MapType map, std::int64_t rows, std::int64_t cols) {
+    return TileArraySpec{name,       map, host, sizeof(double), rows, cols,
+                         TileDimSpec{Affine{4, 0}, 4}, TileDimSpec{Affine{4, 0}, 4}};
+  };
+  auto build = [](std::vector<TileArraySpec> arrays) {
+    TileSpec spec;
+    spec.num_streams = 2;
+    spec.ni = 2;
+    spec.nj = 2;
+    spec.arrays = std::move(arrays);
+    TileBuildState state;
+    state.ring_rows.assign(spec.arrays.size(), 4);
+    state.ring_cols.assign(spec.arrays.size(), 8);
+    return error_of([&] { PlanBuilder::tiles(spec, state); });
+  };
+  const std::string outside = "': block outside the host matrix";
+  EXPECT_EQ(build({array("in", MapType::To, 8, 8), array("out", MapType::From, 8, 8)}), "");
+  // Same tile: the input's upload comes before the output's drain, even
+  // when the output is listed first.
+  EXPECT_EQ(build({array("out", MapType::From, 8, 6), array("in", MapType::To, 8, 6)}),
+            "tile array 'in" + outside);
+  // An earlier tile wins: the output fails at (0, 1), the input at (1, 0).
+  EXPECT_EQ(build({array("in", MapType::To, 6, 8), array("out", MapType::From, 8, 6)}),
+            "tile array 'out" + outside);
+  // Two inputs failing at one tile: the first in array order.
+  EXPECT_EQ(build({array("ok", MapType::To, 8, 8), array("a", MapType::To, 8, 6),
+                   array("b", MapType::To, 8, 6), array("out", MapType::From, 8, 8)}),
+            "tile array 'a" + outside);
+  // Two outputs failing at one tile, after inputs that pass.
+  EXPECT_EQ(build({array("in", MapType::To, 8, 8), array("x", MapType::From, 6, 8),
+                   array("y", MapType::ToFrom, 6, 8)}),
+            "tile array 'y" + outside);
+}
+
+TEST(PlanBuilderRejects, ShardHaloSendRangeOutsideTheFirstChunkWindow) {
+  // The right shard of a two-way split pushes the head of its first input
+  // window to its left neighbour; a send range reaching past that window,
+  // or an empty one, is rejected.
+  gpu::Gpu g(gpu::nvidia_k40m(), gpu::ExecMode::Modeled);
+  const std::vector<ShardSlice> slices = shard_pipeline_specs(halo_spec(g), {1.0, 1.0});
+  ASSERT_EQ(slices.size(), 2u);
+  auto build = [&](std::int64_t send_hi) {
+    PipelineSpec right = slices[1].spec;
+    for (ShardHalo& h : right.halos)
+      if (h.send_peer >= 0) h.send_hi = send_hi;
+    return error_of([&] {
+      PlanBuilder::pipeline(right, right.chunk_size, right.num_streams, right.loop_begin,
+                            right.loop_end, PipelineBuildState::predicted(right));
+    });
+  };
+  const ArraySpec& in = slices[1].spec.arrays[0];
+  const auto [w_lo, w_hi] = layout::window_of(in, slices[1].begin,
+                                              slices[1].begin + slices[1].spec.chunk_size);
+  const std::string message =
+      "array 'in': shard halo send range must sit inside the first chunk's window";
+  EXPECT_EQ(build(w_hi), "");
+  EXPECT_EQ(build(w_hi + 1), message);
+  EXPECT_EQ(build(w_lo), message);
 }
 
 TEST(PlanIntrospection, DotAndChromeTraceDumpsAreWellFormed) {

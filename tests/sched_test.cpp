@@ -560,23 +560,39 @@ std::string events_jsonl(const telemetry::FlightRecorder& rec) {
 
 // The report's run totals, the exported sched.* counters, and the per-job
 // records are one set of facts: each total equals its counter (the stitch
-// counters are exported only for mixes with lineage, and read 0 otherwise)
-// and the sum its records imply.
+// and transfer counters are exported only for mixes with lineage, the shard
+// counters only with sharding on, and read 0 otherwise) and the sum its
+// records imply.
 void expect_totals_agree(const sched::ScheduleReport& rep, const telemetry::Registry& reg) {
-  std::int64_t retries = 0, shrinks = 0, misses = 0, stitched = 0;
-  Bytes stitched_bytes = 0;
+  std::int64_t retries = 0, shrinks = 0, misses = 0, stitched = 0, backpressured = 0;
+  std::int64_t mirrors = 0, sharded = 0, rounds = 0;
+  Bytes stitched_bytes = 0, halo = 0, h2d = 0, d2h = 0;
+  std::vector<std::int64_t> dev_completed;
   for (const sched::JobRecord& r : rep.jobs) {
     retries += std::max(r.admission_attempts - 1, 0);
     shrinks += r.shrunk;
     misses += r.deadline_missed;
     stitched += r.stitched_in || r.stitched_out;
     stitched_bytes += r.stitched_bytes;
+    backpressured += r.backpressured;
+    mirrors += r.mirrors_staged;
+    sharded += r.shard_rounds > 0;
+    rounds += r.shard_rounds;
+    halo += r.p2p_halo_bytes;
+    h2d += r.h2d_bytes;
+    d2h += r.d2h_bytes;
+    if (r.state != sched::JobState::Completed) continue;
+    const auto dev = static_cast<std::size_t>(r.device);
+    if (dev_completed.size() <= dev) dev_completed.resize(dev + 1, 0);
+    ++dev_completed[dev];
   }
   EXPECT_EQ(rep.admission_retries, retries);
   EXPECT_EQ(rep.admission_shrinks, shrinks);
   EXPECT_EQ(rep.deadline_misses, misses);
   EXPECT_EQ(rep.stitched_jobs, stitched);
   EXPECT_EQ(rep.stitched_bytes, stitched_bytes);
+  EXPECT_EQ(rep.backpressure_events, backpressured);
+  EXPECT_EQ(rep.handoff_fallbacks, mirrors);
   EXPECT_EQ(reg.counter_value("sched.jobs_completed"), rep.completed);
   EXPECT_EQ(reg.counter_value("sched.jobs_rejected"), rep.rejected);
   EXPECT_EQ(reg.counter_value("sched.backpressure_events"), rep.backpressure_events);
@@ -587,6 +603,16 @@ void expect_totals_agree(const sched::ScheduleReport& rep, const telemetry::Regi
   EXPECT_EQ(reg.counter_value("sched.stitched_bytes"),
             static_cast<std::int64_t>(rep.stitched_bytes));
   EXPECT_EQ(reg.counter_value("sched.handoff_fallbacks"), rep.handoff_fallbacks);
+  EXPECT_EQ(reg.counter_value("sched.sharded_jobs"), sharded);
+  EXPECT_EQ(reg.counter_value("sched.shard_rounds"), rounds);
+  EXPECT_EQ(reg.counter_value("sched.p2p_halo_bytes"), static_cast<std::int64_t>(halo));
+  const bool lineage = reg.counter_value("sched.lineage_jobs") > 0;
+  EXPECT_EQ(reg.counter_value("sched.h2d_bytes"), lineage ? static_cast<std::int64_t>(h2d) : 0);
+  EXPECT_EQ(reg.counter_value("sched.d2h_bytes"), lineage ? static_cast<std::int64_t>(d2h) : 0);
+  for (std::size_t dev = 0; dev < dev_completed.size(); ++dev)
+    EXPECT_EQ(reg.counter_value("sched.dev" + std::to_string(dev) + ".jobs_completed"),
+              dev_completed[dev])
+        << dev;
 }
 
 // 700 Modeled tenants arriving 50 us apart (20k jobs/s) on 2 x K40m: the
@@ -631,6 +657,7 @@ TEST(SchedulerGolden, ShardedRunThroughADeviceOutageIsPinned) {
   opts.shard_threshold = 1;
   opts.reshard_interval = sched::make_serve_job(big, 0).job.spec.iterations() / 4;
 
+  telemetry::Registry reg;
   auto run = [&](telemetry::FlightRecorder* rec) {
     Machine m(2);
     sched::SchedulerOptions o = opts;
@@ -642,6 +669,8 @@ TEST(SchedulerGolden, ShardedRunThroughADeviceOutageIsPinned) {
     for (const auto& j : jobs) s.submit(j.job);
     MixRun r;
     r.report = s.run();
+    reg = telemetry::Registry{};
+    s.collect_metrics(reg);
     for (const auto& j : jobs) {
       EXPECT_TRUE(j.verify()) << j.job.name;
       r.checksums.push_back(j.output_checksum());
@@ -679,6 +708,12 @@ TEST(SchedulerGolden, ShardedRunThroughADeviceOutageIsPinned) {
   EXPECT_EQ(rec.total_recorded(), 18u);
   EXPECT_EQ(digest(records_text(out.report.jobs)), 12601611797072402288ULL);
   EXPECT_EQ(digest(events_jsonl(rec)), 13857403784434871164ULL);
+  // The big job ran sharded over five rounds; the small one ran solo.
+  EXPECT_EQ(out.report.jobs[0].shard_rounds, 5);
+  EXPECT_EQ(out.report.jobs[1].shard_rounds, 0);
+  EXPECT_GT(out.report.jobs[1].h2d_bytes, 0u);
+  EXPECT_EQ(out.report.jobs[0].h2d_bytes, 0u);
+  expect_totals_agree(out.report, reg);
 }
 
 // The record fields the goldens above predate: the SJF key and the reason.
