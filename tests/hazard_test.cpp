@@ -1,7 +1,10 @@
 // Unit and failure-injection tests for the hazard tracker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "gpu/device_profile.hpp"
 #include "gpu/gpu.hpp"
@@ -165,6 +168,180 @@ TEST(HazardTracker, DisabledTrackerIgnoresEverything) {
   t.begin_op(w1, 0.0, 1.0, "w1");
   EXPECT_NO_THROW(t.begin_op(w2, 0.5, 1.5, "w2"));
   EXPECT_EQ(t.live_records(), 0u);
+}
+
+// --- Static schedules: the validator against a per-slot oracle ---
+
+/// The per-slot algorithm validate_static_schedule once ran, kept as a test
+/// oracle: per (resource, slot), the last writer and the readers since that
+/// write, checked slot by slot. Returns the text validation would throw
+/// ("hazard: ..." or "error: ..." without the source location), or "ok".
+std::string per_slot_verdict(const std::vector<StaticOp>& ops, int num_queues) {
+  const int n = static_cast<int>(ops.size());
+  const auto nq = static_cast<std::size_t>(num_queues);
+  auto malformed = [](const StaticOp& op, const char* what) {
+    return "error: invalid argument: static op '" + std::string(op.label) + "': " + what;
+  };
+  std::vector<int> frontier(static_cast<std::size_t>(n) * nq, -1);
+  std::vector<int> queue_tail(nq, -1);
+  auto merge_from = [&](int* dst, int src) {
+    const int* f = frontier.data() + static_cast<std::size_t>(src) * nq;
+    for (std::size_t q = 0; q < nq; ++q) dst[q] = std::max(dst[q], f[q]);
+    const auto sq = static_cast<std::size_t>(ops[static_cast<std::size_t>(src)].queue);
+    dst[sq] = std::max(dst[sq], src);
+  };
+  struct SlotState {
+    int last_writer = -1;
+    std::vector<int> readers;
+  };
+  std::vector<std::vector<SlotState>> slots;
+  for (int i = 0; i < n; ++i) {
+    const StaticOp& op = ops[static_cast<std::size_t>(i)];
+    if (op.queue < 0 || op.queue >= num_queues) return malformed(op, "queue out of range");
+    int* f = frontier.data() + static_cast<std::size_t>(i) * nq;
+    if (queue_tail[static_cast<std::size_t>(op.queue)] >= 0)
+      merge_from(f, queue_tail[static_cast<std::size_t>(op.queue)]);
+    for (int d : op.deps) {
+      if (d < 0 || d >= i) return malformed(op, "dep must index an earlier op");
+      merge_from(f, d);
+    }
+    queue_tail[static_cast<std::size_t>(op.queue)] = i;
+    auto ordered_before = [&](int a) {
+      return a <= f[static_cast<std::size_t>(ops[static_cast<std::size_t>(a)].queue)];
+    };
+    auto conflict = [&](int prior, const char* kind) {
+      return "hazard: static " + std::string(kind) + " hazard: '" + std::string(op.label) +
+             "' conflicts with '" + std::string(ops[static_cast<std::size_t>(prior)].label) +
+             "' without an ordering dependency between them";
+    };
+    for (const StaticOp::Access& acc : op.accesses) {
+      if (acc.resource < 0 || acc.lo < 0 || acc.lo > acc.hi)
+        return malformed(op, "malformed access");
+      if (static_cast<std::size_t>(acc.resource) >= slots.size())
+        slots.resize(static_cast<std::size_t>(acc.resource) + 1);
+      auto& res = slots[static_cast<std::size_t>(acc.resource)];
+      if (static_cast<std::size_t>(acc.hi) > res.size())
+        res.resize(static_cast<std::size_t>(acc.hi));
+      for (std::int64_t slot = acc.lo; slot < acc.hi; ++slot) {
+        SlotState& st = res[static_cast<std::size_t>(slot)];
+        if (st.last_writer >= 0 && st.last_writer != i && !ordered_before(st.last_writer))
+          return conflict(st.last_writer, acc.write ? "write-after-write" : "read-after-write");
+        if (acc.write) {
+          for (int r : st.readers)
+            if (r != i && !ordered_before(r)) return conflict(r, "write-after-read");
+          st.last_writer = i;
+          st.readers.clear();
+        } else if (st.readers.empty() || st.readers.back() != i) {
+          st.readers.push_back(i);
+        }
+      }
+    }
+  }
+  return "ok";
+}
+
+/// validate_static_schedule's verdict in per_slot_verdict's terms.
+std::string verdict(const std::vector<StaticOp>& ops, int num_queues) {
+  try {
+    validate_static_schedule(ops, num_queues);
+  } catch (const HazardError& e) {
+    return std::string("hazard: ") + e.what();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return "error: " + what.substr(0, what.rfind(" ["));
+  }
+  return "ok";
+}
+
+/// A seeded random static schedule and the storage its ops point into.
+struct RandomSchedule {
+  int num_queues = 1;
+  std::vector<std::vector<int>> deps;
+  std::vector<std::vector<StaticOp::Access>> accesses;
+  std::vector<std::string> labels;
+  std::vector<StaticOp> ops;
+};
+
+/// 1-4 queues and up to 60 ops, each with 1-3 reads or writes of slots in
+/// [0, 64) of 1-3 resources (one op's accesses may overlap) and deps on
+/// earlier ops: with probability `order`, an op waits on each earlier op it
+/// conflicts with, so some schedules validate and others fail late. One
+/// schedule in 16 carries one malformed op.
+RandomSchedule random_schedule(std::mt19937_64& rng) {
+  auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  RandomSchedule s;
+  s.num_queues = static_cast<int>(pick(1, 4));
+  const int n = static_cast<int>(pick(1, 60));
+  const int resources = static_cast<int>(pick(1, 3));
+  const std::int64_t span = pick(0, 1) ? 64 : pick(1, 16);  // narrow spans collide more
+  const double order = std::uniform_real_distribution<double>(0.9, 1.0)(rng);
+  const int bad_op = pick(0, 15) == 0 ? static_cast<int>(pick(0, n - 1)) : -1;
+  s.deps.resize(static_cast<std::size_t>(n));
+  s.accesses.resize(static_cast<std::size_t>(n));
+  std::vector<int> queue(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    queue[ui] = static_cast<int>(pick(0, s.num_queues - 1));
+    for (int a = static_cast<int>(pick(1, 3)); a > 0; --a) {
+      const std::int64_t lo = pick(0, span - 1);
+      s.accesses[ui].push_back({static_cast<int>(pick(0, resources - 1)), lo,
+                                std::min<std::int64_t>(64, lo + pick(1, span)), pick(0, 1) == 1});
+    }
+    for (int j = 0; j < i; ++j) {
+      bool conflicts = false;
+      for (const StaticOp::Access& x : s.accesses[ui])
+        for (const StaticOp::Access& y : s.accesses[static_cast<std::size_t>(j)])
+          conflicts = conflicts || (x.resource == y.resource && x.lo < y.hi && y.lo < x.hi &&
+                                    (x.write || y.write));
+      const double p = conflicts ? order : 0.05;
+      if (std::uniform_real_distribution<double>(0, 1)(rng) < p) s.deps[ui].push_back(j);
+    }
+    std::shuffle(s.deps[ui].begin(), s.deps[ui].end(), rng);
+    if (i == bad_op) {
+      switch (pick(0, 3)) {
+        case 0: queue[ui] = pick(0, 1) ? s.num_queues : -1; break;
+        case 1: s.deps[ui].push_back(static_cast<int>(pick(i, i + 2))); break;
+        case 2: s.accesses[ui].back().lo = s.accesses[ui].back().hi + 1; break;
+        default: s.accesses[ui].back().resource = -1; break;
+      }
+    }
+    s.labels.push_back("op" + std::to_string(i));
+  }
+  for (int i = 0; i < n; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    s.ops.push_back({queue[ui], s.deps[ui], s.accesses[ui], s.labels[ui]});
+  }
+  return s;
+}
+
+TEST(StaticSchedule, MatchesThePerSlotOracleOnRandomSchedules) {
+  std::mt19937_64 rng(20261020);
+  int ok = 0, hazards = 0, errors = 0;
+  for (int k = 0; k < 5000; ++k) {
+    const RandomSchedule s = random_schedule(rng);
+    const std::string expected = per_slot_verdict(s.ops, s.num_queues);
+    ASSERT_EQ(verdict(s.ops, s.num_queues), expected) << "schedule " << k;
+    ok += expected == "ok";
+    hazards += expected.starts_with("hazard: ");
+    errors += expected.starts_with("error: ");
+  }
+  // Every outcome is exercised, hazards included.
+  EXPECT_GT(ok, 1000) << hazards << " hazards, " << errors << " errors";
+  EXPECT_GT(hazards, 1000) << ok << " ok";
+  EXPECT_GT(errors, 100);
+}
+
+TEST(StaticSchedule, ReportsTheFirstUnorderedPairInSlotOrder) {
+  // op2 writes [0, 8) on queue 1 after unordered reads by op1 (slots 4-8)
+  // and op0 (slots 0-4): the reader of the lowest slot is named.
+  const std::vector<StaticOp::Access> r0{{0, 0, 4, false}}, r1{{0, 4, 8, false}},
+      w{{0, 0, 8, true}};
+  const std::vector<StaticOp> ops{{0, {}, r0, "op0"}, {0, {}, r1, "op1"}, {1, {}, w, "op2"}};
+  EXPECT_EQ(verdict(ops, 2),
+            "hazard: static write-after-read hazard: 'op2' conflicts with 'op0' without an "
+            "ordering dependency between them");
 }
 
 // --- Failure injection on the full runtime ---

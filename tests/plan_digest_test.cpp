@@ -6,11 +6,14 @@
 // them (a refactor of the builders or passes must leave them as they are).
 //
 // The corpus: the paper's Fig. 4/7 stencil shapes, the four apps'
-// Pipelined-buffer regions at test sizes, the nine serve templates, seeded
-// random affine regions (To/From/ToFrom, split dims 0 and 1, scales 1-3,
-// windows 1-5, partial loop ranges), shard slices, stitched produce and
-// consume regions, and seeded random tile regions — each at opt levels
-// 0-2, level 2 under three device profiles (the fusion gate's dry run).
+// Pipelined-buffer regions at test sizes and at the paper's sizes (matmul
+// column blocks of 512 indices), the nine serve templates, seeded random
+// affine regions (To/From/ToFrom, split dims 0 and 1, scales 1-3, windows
+// 1-5, partial loop ranges), shard slices, stitched produce and consume
+// regions, seeded random tile regions, and a shard slice, a stitched pair
+// and a tile region whose windows span 64 or more indices — each at opt
+// levels 0-2, level 2 under three device profiles (the fusion gate's dry
+// run).
 // Every corpus plan must also pass validate().
 #include <gtest/gtest.h>
 
@@ -433,6 +436,108 @@ TEST(PlanDigest, SeededRandomTileRegions) {
     }
   }
   check("tiles", d, nodes, 0xcb6779014a92943dULL);
+}
+
+// --- Wide windows: many split indices per copy ---
+
+PipelineSpec matmul_region(std::int64_t n, std::int64_t chunk_cols, int streams) {
+  PipelineSpec spec = region(0, n, chunk_cols, streams, {});
+  spec.arrays = {ArraySpec{"A", MapType::To, host, sizeof(double), {n, n},
+                           SplitSpec{1, Affine{1, 0}, 1}},
+                 slab("B", MapType::To, {n, n}, {1, 0}, 1)};
+  return spec;
+}
+
+PipelineSpec conv3d_region(std::int64_t n, std::int64_t chunk, int streams) {
+  return region(1, n - 1, chunk, streams,
+                {slab("A", MapType::To, {n, n, n}, {1, -1}, 3),
+                 slab("B", MapType::From, {n, n, n}, {1, 0}, 1)});
+}
+
+PipelineSpec qcd_region(std::int64_t n, std::int64_t chunk, int streams) {
+  const std::int64_t sites = n * n * n;
+  return region(1, n - 1, chunk, streams,
+                {slab("psi", MapType::To, {n, sites * 24}, {1, -1}, 3),
+                 slab("U", MapType::To, {n, sites * 72}, {1, -1}, 2),
+                 slab("out", MapType::From, {n, sites * 24}, {1, 0}, 1)});
+}
+
+TEST(PlanDigest, AppRegionsAtPaperSizes) {
+  // The four apps' Pipelined-buffer regions at the extents paper_regions
+  // runs and tunes, with chunks as wide as its sweeps reach: 3dconv
+  // (608^3 and 256^3), the stencil (256^2 x 64 and 320^2 x 128), qcd
+  // (n = 12, 24, 36), and matmul column blocks of 512 up to n = 24576.
+  Digest d;
+  std::size_t nodes = 0;
+  for (const auto& [n, chunk, streams] :
+       {std::tuple{608, 1, 2}, {608, 76, 2}, {608, 151, 3}, {256, 51, 2}, {256, 128, 4}})
+    nodes += add_all_levels(d, conv3d_region(n, chunk, streams));
+  for (const auto& [ny, nz, chunk, streams] :
+       {std::tuple{256, 64, 4, 4}, {256, 64, 62, 2}, {320, 128, 26, 2}, {320, 128, 63, 3}})
+    nodes += add_all_levels(d, stencil(nz, ny, ny, chunk, streams));
+  for (const auto& [n, chunk, streams] : {std::tuple{12, 1, 2}, {24, 11, 2}, {36, 17, 3}})
+    nodes += add_all_levels(d, qcd_region(n, chunk, streams));
+  for (const auto& [n, chunk, streams] :
+       {std::tuple{1024, 512, 2}, {4096, 512, 2}, {24576, 512, 2}, {2048, 384, 3}})
+    nodes += add_all_levels(d, matmul_region(n, chunk, streams));
+  check("paper-sizes", d, nodes, 0x9dcd9131ceb7249dULL);
+}
+
+TEST(PlanDigest, WideShardSliceAndStitchedPair) {
+  // Chunks of 64 planes: input windows of 66 indices, outputs of 64.
+  const std::int64_t nz = 514;
+  const PipelineSpec wide = region(1, nz - 1, 64, 2,
+                                   {slab("in", MapType::To, {nz, 16}, {1, -1}, 3),
+                                    slab("io", MapType::ToFrom, {nz, 8}, {1, 0}, 1),
+                                    slab("out", MapType::From, {nz, 16}, {1, 0}, 1)});
+  Digest d;
+  std::size_t nodes = 0;
+  for (const ShardSlice& s : shard_pipeline_specs(wide, {1, 1})) {
+    EXPECT_FALSE(s.spec.halos.empty());
+    nodes += add_all_levels(d, s.spec);
+  }
+  PipelineSpec produce = wide;
+  produce.handoffs = {{2, 0, true}, {1, 1, true}};
+  nodes += add_all_levels(d, produce);
+  PipelineSpec consume = wide;
+  consume.handoffs = {{0, 0, false}, {1, 1, false}};
+  nodes += add_all_levels(d, consume);
+  check("wide-shard-stitch", d, nodes, 0xc6f219382e973f97ULL);
+}
+
+TEST(PlanDigest, WideTileRegion) {
+  // Four bands of six tiles; column windows of 66 (64 plus a halo of 2)
+  // and row windows of 10, on two and three streams.
+  Digest d;
+  std::size_t nodes = 0;
+  for (int streams : {2, 3}) {
+    TileSpec spec;
+    spec.num_streams = streams;
+    spec.ni = 4;
+    spec.nj = 6;
+    const std::int64_t rows = 8 * spec.ni + 2, cols = 64 * spec.nj + 2;
+    spec.arrays = {
+        TileArraySpec{"in", MapType::To, host, 8, rows, cols, TileDimSpec{Affine{8, 0}, 10},
+                      TileDimSpec{Affine{64, 0}, 66}},
+        TileArraySpec{"io", MapType::ToFrom, host, 4, rows, cols, TileDimSpec{Affine{8, 1}, 8},
+                      TileDimSpec{Affine{64, 1}, 64}},
+        TileArraySpec{"out", MapType::From, host, 8, rows, cols, TileDimSpec{Affine{8, 1}, 8},
+                      TileDimSpec{Affine{64, 1}, 64}},
+    };
+    TileBuildState st;
+    for (const TileArraySpec& a : spec.arrays) {
+      const std::int64_t cs = a.col_split.start.scale;
+      st.ring_rows.push_back(std::min(a.rows, a.row_split.window));
+      st.ring_cols.push_back(std::min(
+          a.cols, cs * streams + layout::round_up(layout::halo(a.col_split.window, cs), cs)));
+      st.pinned.push_back(true);
+    }
+    for (int opt = 0; opt <= 2; ++opt) {
+      spec.opt_level = opt;
+      nodes += add_tiles(d, spec, st);
+    }
+  }
+  check("wide-tiles", d, nodes, 0x2b292fb840efce90ULL);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Tests for the 2-D (nested-loop) tile pipeline extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
+#include "core/plan.hpp"
 #include "core/tile_pipeline.hpp"
 #include "gpu/device_profile.hpp"
+#include "gpu/hazard.hpp"
 
 namespace gpupipe::core {
 namespace {
@@ -168,6 +171,67 @@ TEST(TilePipeline, HazardTrackerAcceptsTheSchedule) {
   std::vector<double> in(rows * cols, 1.0), out(rows * cols);
   TilePipeline p(g, double_spec(in, out, rows, cols, t, t, 3));
   EXPECT_NO_THROW(p.run(doubler(t, t)));
+}
+
+/// A haloed 3x3-band tile plan on two streams (the HaloedBlur shape), with
+/// ring extents as TilePipeline allocates them.
+ExecutionPlan haloed_tile_plan() {
+  static double in[20 * 28], out[20 * 28];
+  TileSpec spec;
+  spec.num_streams = 2;
+  spec.ni = 3;
+  spec.nj = 4;
+  spec.arrays = {
+      TileArraySpec{"in", MapType::To, reinterpret_cast<std::byte*>(in), sizeof(double), 20, 28,
+                    TileDimSpec{Affine{4, 0}, 6}, TileDimSpec{Affine{4, 0}, 6}},
+      TileArraySpec{"out", MapType::From, reinterpret_cast<std::byte*>(out), sizeof(double), 20,
+                    28, TileDimSpec{Affine{4, 1}, 4}, TileDimSpec{Affine{4, 1}, 4}},
+  };
+  TileBuildState st;
+  st.ring_rows = {6, 4};
+  st.ring_cols = {12, 8};
+  return PlanBuilder::tiles(spec, st);
+}
+
+/// Clears the deps of the first node of kind `op` that waits on another
+/// stream.
+bool drop_cross_stream_edge(ExecutionPlan& plan, PlanOp op) {
+  for (PlanNode& n : plan.nodes) {
+    if (n.op != op) continue;
+    if (std::any_of(n.deps.begin(), n.deps.end(), [&](int d) {
+          return plan.nodes[static_cast<std::size_t>(d)].stream != n.stream;
+        })) {
+      n.deps.clear();
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string hazard_text(const ExecutionPlan& plan) {
+  try {
+    plan.validate();
+  } catch (const gpu::HazardError& e) {
+    return e.what();
+  }
+  return "validated";
+}
+
+TEST(TilePlanValidate, NamesThePairBehindADeletedBarrier) {
+  ExecutionPlan plan = haloed_tile_plan();
+  EXPECT_NO_THROW(plan.validate());
+  ASSERT_TRUE(drop_cross_stream_edge(plan, PlanOp::Barrier));
+  EXPECT_EQ(hazard_text(plan),
+            "static write-after-read hazard: 'h2d in[4,10)x[0,6)' conflicts with 'tile(0,3)' "
+            "without an ordering dependency between them");
+}
+
+TEST(TilePlanValidate, NamesThePairBehindADeletedSlotReuseEdge) {
+  ExecutionPlan plan = haloed_tile_plan();
+  ASSERT_TRUE(drop_cross_stream_edge(plan, PlanOp::SlotReuse));
+  EXPECT_EQ(hazard_text(plan),
+            "static write-after-read hazard: 'h2d in[14,18)' conflicts with 'tile(0,0)' "
+            "without an ordering dependency between them");
 }
 
 TEST(TilePipeline, ValidatesSpecs) {
