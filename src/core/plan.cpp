@@ -11,6 +11,7 @@
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
+#include "common/run_map.hpp"
 #include "core/layout.hpp"
 #include "core/plan_cache.hpp"
 #include "core/plan_opt.hpp"
@@ -77,6 +78,12 @@ struct IndexRun {
 /// last emptied it. Rows ride along per column, not per (row, column) cell:
 /// every copy of a tile band covers the band's one row range, so a column
 /// and its rows describe the whole cell grid.
+///
+/// Copies and kernels move whole windows of consecutive split indices, so
+/// the cells are kept as runs of consecutive cells sharing one state
+/// (RunMap). Every operation takes a host index range [lo, hi), walks its
+/// laps of the ring in index order and applies to each run once: its cost
+/// follows the runs it touches, not the indices.
 class RingCells {
  public:
   /// Empties every cell. With `elide` (opt level >= 1) resident indices
@@ -85,90 +92,136 @@ class RingCells {
   /// on the drain. Without it nothing is resident and a kernel writing a
   /// cell waits on its last drain even after an upload (the naive rules).
   void reset(std::int64_t cells, bool elide) {
-    const auto n = static_cast<std::size_t>(cells);
     ring_ = cells;
     elide_ = elide;
-    index_.assign(n, -1);
-    row_lo_.assign(n, 0);
-    row_hi_.assign(n, 0);
-    producer_.assign(n, -1);
-    readers_.assign(n, {});
-    drain_.assign(n, -1);
+    cells_.reset();
   }
 
-  std::int64_t ring() const { return ring_; }
-
-  /// Whether host index `idx` over rows [rlo, rhi) is resident, so an
-  /// upload may skip it (never at opt level 0).
-  bool resident(std::int64_t idx, std::int64_t rlo, std::int64_t rhi) const {
-    const std::size_t c = cell(idx);
-    return elide_ && index_[c] == idx && row_lo_[c] <= rlo && rhi <= row_hi_[c];
+  /// Sets `out` to the host indices of [lo, hi) to move, as maximal runs
+  /// broken at ring wraps — with `skip_resident`, only those not resident
+  /// over rows [rlo, rhi), which an upload may skip (never at opt level 0).
+  void pieces(std::int64_t lo, std::int64_t hi, std::int64_t rlo, std::int64_t rhi,
+              bool skip_resident, std::vector<IndexRun>& out) const {
+    out.clear();
+    each(lo, hi, [&](const Cell& c, std::int64_t c_lo, std::int64_t c_hi, std::int64_t base) {
+      if (skip_resident && elide_ && c.base == base && c.row_lo <= rlo && rhi <= c.row_hi)
+        return;
+      if (!out.empty() && out.back().index + out.back().count == base + c_lo && c_lo != 0)
+        out.back().count += c_hi - c_lo;
+      else
+        out.push_back({base + c_lo, c_hi - c_lo});
+    });
   }
 
   /// Whether any cell of host indices [lo, hi) has a reader or a drain to
   /// wait for — i.e. whether the naive schedule guards this window.
   bool guarded(std::int64_t lo, std::int64_t hi) const {
-    for (std::int64_t idx = lo; idx < hi; ++idx) {
-      const std::size_t c = cell(idx);
-      if (!readers_[c].empty() || drain_[c] >= 0) return true;
-    }
-    return false;
+    bool any = false;
+    each(lo, hi, [&](const Cell& c, std::int64_t, std::int64_t, std::int64_t) {
+      any = any || !c.readers.empty() || c.drain >= 0;
+    });
+    return any;
   }
 
-  /// Appends what overwriting `idx`'s cell must wait for (its readers, then
-  /// its drain) to `deps`; the new occupant starts with no readers.
-  void guard(std::int64_t idx, std::vector<int>& deps) {
-    const std::size_t c = cell(idx);
-    for (int r : readers_[c]) push_dep(deps, r);
-    readers_[c].clear();
-    push_dep(deps, drain_[c]);
+  /// Appends what overwriting the cells of [lo, hi) must wait for (per
+  /// cell in index order: its readers, then its drain) to `deps`; the new
+  /// occupants start with no readers.
+  void guard(std::int64_t lo, std::int64_t hi, std::vector<int>& deps) {
+    update(lo, hi, [&](Cell& c, std::int64_t) {
+      for (int id : c.readers) push_dep(deps, id);
+      c.readers.clear();
+      push_dep(deps, c.drain);
+    });
   }
 
-  /// Records that copy node `copy` lands `idx` over rows [rlo, rhi).
-  void land(std::int64_t idx, std::int64_t rlo, std::int64_t rhi, int copy) {
-    const std::size_t c = cell(idx);
-    index_[c] = idx;
-    row_lo_[c] = rlo;
-    row_hi_[c] = rhi;
-    producer_[c] = copy;
-    if (elide_) drain_[c] = -1;
+  /// Records that copy node `copy` lands [lo, hi) over rows [rlo, rhi).
+  void land(std::int64_t lo, std::int64_t hi, std::int64_t rlo, std::int64_t rhi, int copy) {
+    update(lo, hi, [&](Cell& c, std::int64_t base) {
+      c.base = base;
+      c.row_lo = rlo;
+      c.row_hi = rhi;
+      c.producer = copy;
+      if (elide_) c.drain = -1;
+    });
   }
 
-  /// The copy that landed `idx` over rows [rlo, rhi), which must still be
-  /// resident.
-  int producer(std::int64_t idx, std::int64_t rlo, std::int64_t rhi) const {
-    const std::size_t c = cell(idx);
-    ensure(index_[c] == idx && row_lo_[c] <= rlo && rhi <= row_hi_[c] && producer_[c] >= 0,
-           "plan input slice was never scheduled for copy");
-    return producer_[c];
+  /// Appends the copies that landed [lo, hi) over rows [rlo, rhi), which
+  /// must still be resident, to `deps` in index order.
+  void producers(std::int64_t lo, std::int64_t hi, std::int64_t rlo, std::int64_t rhi,
+                 std::vector<int>& deps) const {
+    each(lo, hi, [&](const Cell& c, std::int64_t, std::int64_t, std::int64_t base) {
+      ensure(c.base == base && c.row_lo <= rlo && rhi <= c.row_hi && c.producer >= 0,
+             "plan input slice was never scheduled for copy");
+      push_dep(deps, c.producer);
+    });
   }
 
-  /// Node `id` reads `idx`'s cell: a later overwrite must wait for it.
-  void read(std::int64_t idx, int id) {
-    std::vector<int>& r = readers_[cell(idx)];
-    if (r.empty() || r.back() != id) r.push_back(id);
+  /// Appends the last drains of the cells of [lo, hi) to `deps`.
+  void drains(std::int64_t lo, std::int64_t hi, std::vector<int>& deps) const {
+    each(lo, hi, [&](const Cell& c, std::int64_t, std::int64_t, std::int64_t) {
+      push_dep(deps, c.drain);
+    });
   }
 
-  /// A kernel wrote `idx`'s cell: the device data no longer mirrors the
-  /// host, so it is not resident any more.
-  void write(std::int64_t idx) { index_[cell(idx)] = -1; }
+  /// Node `id` reads the cells of [lo, hi): a later overwrite must wait
+  /// for it.
+  void read(std::int64_t lo, std::int64_t hi, int id) {
+    update(lo, hi, [&](Cell& c, std::int64_t) {
+      if (c.readers.empty() || c.readers.back() != id) c.readers.push_back(id);
+    });
+  }
 
-  /// Drain group `recorder` emptied `idx`'s cell; it implies every earlier
-  /// drain of the cell, so only the latest is kept.
-  void drained(std::int64_t idx, int recorder) { drain_[cell(idx)] = recorder; }
-  int drain(std::int64_t idx) const { return drain_[cell(idx)]; }
+  /// A kernel wrote the cells of [lo, hi): the device data no longer
+  /// mirrors the host, so they are not resident any more.
+  void write(std::int64_t lo, std::int64_t hi) {
+    update(lo, hi, [](Cell& c, std::int64_t) { c.base = -1; });
+  }
+
+  /// Drain group `recorder` emptied the cells of [lo, hi); it implies
+  /// every earlier drain of a cell, so only the latest is kept.
+  void drained(std::int64_t lo, std::int64_t hi, int recorder) {
+    update(lo, hi, [&](Cell& c, std::int64_t) { c.drain = recorder; });
+  }
 
  private:
-  std::size_t cell(std::int64_t idx) const { return static_cast<std::size_t>(idx % ring_); }
+  struct Cell {
+    std::int64_t base = -1;  // cell c holds host index base + c; -1 = none
+    std::int64_t row_lo = 0;
+    std::int64_t row_hi = 0;
+    int producer = -1;
+    int drain = -1;
+    std::vector<int> readers;
+
+    bool operator==(const Cell&) const = default;
+  };
+
+  /// Calls f(cell, c_lo, c_hi, base) for each run of cells over host
+  /// indices [lo, hi), in index order and clipped to cells [c_lo, c_hi);
+  /// cell c of the run stands for host index base + c. The range must fit
+  /// in the ring.
+  template <typename F>
+  void each(std::int64_t lo, std::int64_t hi, F&& f) const {
+    layout::for_ring_segments(lo, hi, ring_, [&](std::int64_t slot, std::int64_t idx,
+                                                 std::int64_t count) {
+      cells_.each(slot, slot + count, [&](const Cell& c, std::int64_t a, std::int64_t b) {
+        f(c, a, b, idx - slot);
+      });
+    });
+  }
+
+  /// Calls f(cell, base) once for each run of cells over host indices
+  /// [lo, hi), in index order. The range must fit in the ring.
+  template <typename F>
+  void update(std::int64_t lo, std::int64_t hi, F&& f) {
+    layout::for_ring_segments(lo, hi, ring_, [&](std::int64_t slot, std::int64_t idx,
+                                                 std::int64_t count) {
+      cells_.update(slot, slot + count, [&](Cell& c) { f(c, idx - slot); });
+    });
+  }
 
   std::int64_t ring_ = 1;
   bool elide_ = false;
-  std::vector<std::int64_t> index_;  // resident host index, -1 = none
-  std::vector<std::int64_t> row_lo_;
-  std::vector<std::int64_t> row_hi_;
-  std::vector<int> producer_;
-  std::vector<std::vector<int>> readers_;
-  std::vector<int> drain_;
+  RunMap<Cell> cells_;
 };
 
 /// How one mapped array's copies are shaped: bytes per split index (column)
@@ -183,7 +236,9 @@ struct CopyShape {
 /// The node-emitting half of the builders: per-array ring cells and copy
 /// shapes, guard and upload emission with halo reuse, and the accounting of
 /// the naive schedule the OptReport measures savings against. emit_steps
-/// owns the loop structure.
+/// owns the loop structure. Each window, copy piece, kernel access and
+/// drain is one range call into its array's RingCells, so a node costs its
+/// runs, not its indices.
 class PlanEmitter {
  public:
   PlanEmitter(ExecutionPlan& plan, std::vector<CopyShape> shapes, int opt_level)
@@ -223,8 +278,7 @@ class PlanEmitter {
       if (rc.guarded(lo, hi)) ++dropped_;
       return -1;
     }
-    runs_.clear();
-    add_runs(rc, lo, hi, 0, 0, /*skip_resident=*/false);
+    rc.pieces(lo, hi, 0, 0, /*skip_resident=*/false, runs_);
     return guard(proto, rc);
   }
 
@@ -252,8 +306,7 @@ class PlanEmitter {
       stitched_by_array_[ai] += naive;
     }
 
-    runs_.clear();
-    add_runs(rc, lo, hi, rlo, rhi, /*skip_resident=*/true);
+    rc.pieces(lo, hi, rlo, rhi, /*skip_resident=*/true, runs_);
     if (elide_) ++dropped_;  // the naive upload, which this one replaces
     if (runs_.empty()) {
       saved_by_array_[ai] += naive;
@@ -285,9 +338,7 @@ class PlanEmitter {
       proto.label = range_label(what, info.name, proto.begin, proto.end);
     }
     const int id = add(std::move(proto));
-    for (const IndexRun& run : runs_)
-      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx)
-        rc.land(idx, rlo, rhi, id);
+    for (const IndexRun& run : runs_) rc.land(run.index, run.index + run.count, rlo, rhi, id);
     return id;
   }
 
@@ -298,8 +349,7 @@ class PlanEmitter {
     const CopyShape& shape = shapes_[ai];
     const std::int64_t rlo = shape.tiled ? n.row_begin : 0;
     const std::int64_t rhi = shape.tiled ? n.row_end : 1;
-    runs_.clear();
-    add_runs(cells_[ai], n.begin, n.end, rlo, rhi, /*skip_resident=*/false);
+    cells_[ai].pieces(n.begin, n.end, rlo, rhi, /*skip_resident=*/false, runs_);
     fill_segments(n, shape, plan_.arrays[ai].ring_len, rlo, rhi);
   }
 
@@ -343,20 +393,19 @@ class PlanEmitter {
   int kernel(PlanNode k) {
     for (const PlanAccess& acc : k.accesses) {
       const RingCells& rc = cells(acc.array);
-      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx)
-        push_dep(k.deps, acc.write ? rc.drain(idx) : rc.producer(idx, acc.row_lo, acc.row_hi));
+      if (acc.write)
+        rc.drains(acc.lo, acc.hi, k.deps);
+      else
+        rc.producers(acc.lo, acc.hi, acc.row_lo, acc.row_hi, k.deps);
     }
     k.records_event = true;
     const int id = add(std::move(k));
     node(id).event_node = id;
     for (const PlanAccess& acc : node(id).accesses) {
-      RingCells& rc = cells(acc.array);
-      for (std::int64_t idx = acc.lo; idx < acc.hi; ++idx) {
-        if (acc.write)
-          rc.write(idx);
-        else
-          rc.read(idx, id);
-      }
+      if (acc.write)
+        cells(acc.array).write(acc.lo, acc.hi);
+      else
+        cells(acc.array).read(acc.lo, acc.hi, id);
     }
     return id;
   }
@@ -367,8 +416,7 @@ class PlanEmitter {
     group(ids);
     for (int id : ids) {
       const PlanNode& d = node(id);
-      for (std::int64_t idx = d.begin; idx < d.end; ++idx)
-        cells(d.array).drained(idx, ids.back());
+      cells(d.array).drained(d.begin, d.end, ids.back());
     }
   }
 
@@ -409,30 +457,11 @@ class PlanEmitter {
   }
 
  private:
-  /// Collects into runs_ the indices of [lo, hi) to move — with
-  /// `skip_resident`, only those not resident over rows [rlo, rhi) — as
-  /// maximal runs broken at ring wraps.
-  void add_runs(const RingCells& rc, std::int64_t lo, std::int64_t hi, std::int64_t rlo,
-                std::int64_t rhi, bool skip_resident) {
-    const std::int64_t ring = rc.ring();
-    require(0 <= lo && lo <= hi, "ring segment range must be non-negative");
-    require(hi - lo <= ring, "ring segment range is larger than the ring");
-    for (std::int64_t idx = lo; idx < hi; ++idx) {
-      if (skip_resident && rc.resident(idx, rlo, rhi)) continue;
-      if (!runs_.empty() && runs_.back().index + runs_.back().count == idx && idx % ring != 0)
-        ++runs_.back().count;
-      else
-        runs_.push_back({idx, 1});
-    }
-  }
-
   /// Emits the slot-reuse guard over the cells of runs_ (none when nothing
   /// read or drained them since they were last written); returns its id.
   int guard(const PlanNode& proto, RingCells& rc) {
     std::vector<int> deps;
-    for (const IndexRun& run : runs_)
-      for (std::int64_t idx = run.index; idx < run.index + run.count; ++idx)
-        rc.guard(idx, deps);
+    for (const IndexRun& run : runs_) rc.guard(run.index, run.index + run.count, deps);
     if (deps.empty()) return -1;
     PlanNode sr;
     sr.op = PlanOp::SlotReuse;
@@ -515,8 +544,9 @@ struct Block {
 /// uploads of every input block (split at a shard halo's recv_lo), the
 /// first step's halo pushes, the kernel, and the drains of every output
 /// block. `Region` supplies only the band and step counts, each step's
-/// blocks and their check, the shard halos, and the kernel's range and
-/// label (ChunkSteps, TileSteps).
+/// blocks and their check (inputs at their upload, outputs before the
+/// kernel writes them), the shard halos, and the kernel's range and label
+/// (ChunkSteps, TileSteps).
 template <typename Region>
 void emit_steps(PlanEmitter& e, const Region& region, int num_streams, std::int64_t counter) {
   const std::vector<PlanArrayInfo>& arrays = e.arrays();
@@ -619,14 +649,13 @@ void emit_steps(PlanEmitter& e, const Region& region, int num_streams, std::int6
           p.end = hal->send_hi;
           p.peer = hal->send_peer;
           e.fill_all(p);
-          for (std::int64_t idx = p.begin; idx < p.end; ++idx)
-            push_dep(p.deps, rc.producer(idx, 0, 1));
+          rc.producers(p.begin, p.end, 0, 1, p.deps);
           p.records_event = true;
           p.label = range_label("p2p-send ", a.name, p.begin, p.end) + "->s" +
                     std::to_string(p.peer);
           const int pid = e.add(std::move(p));
           e.node(pid).event_node = pid;
-          for (std::int64_t idx = b.lo; idx < hal->send_hi; ++idx) rc.read(idx, pid);
+          rc.read(b.lo, hal->send_hi, pid);
         }
       }
 
@@ -643,8 +672,10 @@ void emit_steps(PlanEmitter& e, const Region& region, int num_streams, std::int6
         const int array = static_cast<int>(ai);
         if (is_input(arrays[ai].map))
           k.accesses.push_back({array, b.lo, b.hi, b.row_lo, b.row_hi, false});
-        if (is_output(arrays[ai].map))
+        if (is_output(arrays[ai].map)) {
+          region.check(ai, b);
           k.accesses.push_back({array, b.lo, b.hi, b.row_lo, b.row_hi, true});
+        }
       }
       const int kid = e.kernel(std::move(k));
 
@@ -653,7 +684,6 @@ void emit_steps(PlanEmitter& e, const Region& region, int num_streams, std::int6
       for (std::size_t ai = 0; ai < arrays.size(); ++ai) {
         if (!is_output(arrays[ai].map)) continue;
         const Block& b = blocks[ai];
-        region.check(ai, b);
         PlanNode d;
         d.op = PlanOp::D2H;
         d.stream = stream;
@@ -982,21 +1012,32 @@ std::pair<std::int64_t, int> solve_pipeline_memory(const gpu::Gpu& g, const Pipe
 
 void ExecutionPlan::validate() const {
   // Slot accesses of every node in one flat table; each op refers to its
-  // slice of it, and to its node's deps and label.
+  // slice of it, and to its node's deps and label. Each buffer row of an
+  // array is one resource whose slots are the row's ring slots (rows never
+  // share a slot); an array's rows are numbered from first_row, so one
+  // access covers a piece's consecutive buffer rows.
+  std::vector<int> first_row(arrays.size() + 1, 0);
+  for (std::size_t a = 0; a < arrays.size(); ++a)
+    first_row[a + 1] = first_row[a] + static_cast<int>(arrays[a].ring_rows);
+  auto access = [&](int array, std::int64_t row, std::int64_t rows, std::int64_t lo,
+                    std::int64_t hi, bool write) {
+    const auto a = static_cast<std::size_t>(array);
+    require(0 <= row && 0 < rows && row + rows <= arrays[a].ring_rows,
+            "plan access row lies outside the ring");
+    return gpu::StaticOp::Access{first_row[a] + static_cast<int>(row), lo, hi, write,
+                                 static_cast<int>(rows)};
+  };
   std::vector<gpu::StaticOp::Access> accesses;
   std::vector<std::size_t> first(nodes.size() + 1, 0);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const PlanNode& n = nodes[i];
     first[i] = accesses.size();
     // Transfers touch exactly their wrap segments; kernel accesses are
-    // wrap-decomposed the same way. Slot space is (buffer row, ring slot)
-    // flattened as row * ring_len + slot.
+    // wrap-decomposed the same way.
     auto add_segments = [&](bool write) {
-      const std::int64_t ring = arrays[static_cast<std::size_t>(n.array)].ring_len;
       for (const PlanSegment& seg : n.segments)
-        for (std::int64_t r = seg.row_slot; r < seg.row_slot + seg.rows; ++r)
-          accesses.push_back(
-              {n.array, r * ring + seg.slot, r * ring + seg.slot + seg.count, write});
+        accesses.push_back(
+            access(n.array, seg.row_slot, seg.rows, seg.slot, seg.slot + seg.count, write));
     };
     switch (n.op) {
       case PlanOp::H2D:
@@ -1016,9 +1057,8 @@ void ExecutionPlan::validate() const {
             layout::for_ring_segments(
                 acc.lo, acc.hi, info.ring_len,
                 [&](std::int64_t slot, std::int64_t, std::int64_t count) {
-                  for (std::int64_t rr = slot_r; rr < slot_r + nr; ++rr)
-                    accesses.push_back({acc.array, rr * info.ring_len + slot,
-                                        rr * info.ring_len + slot + count, acc.write});
+                  accesses.push_back(
+                      access(acc.array, slot_r, nr, slot, slot + count, acc.write));
                 });
             r += nr;
           }

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/run_map.hpp"
+
 namespace gpupipe::gpu {
 
 namespace {
@@ -94,12 +96,15 @@ void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues) 
     dst[sq] = std::max(dst[sq], src);
   };
 
-  // Per (resource, slot): the last writer and the readers since that write.
-  struct SlotState {
+  // Per resource: runs of slots that share the last writer and the readers
+  // since that write.
+  struct SlotRun {
     int last_writer = -1;
     std::vector<int> readers;
+
+    bool operator==(const SlotRun&) const = default;
   };
-  std::vector<std::vector<SlotState>> slots;  // indexed by resource
+  std::vector<RunMap<SlotRun>> slots;  // indexed by resource
 
   for (int i = 0; i < n; ++i) {
     const StaticOp& op = ops[static_cast<std::size_t>(i)];
@@ -123,25 +128,27 @@ void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues) 
                         "' without an ordering dependency between them");
     };
 
+    // Runs in slot order, the writer before the readers: the first slot
+    // with an unordered pair is the one a slot-by-slot scan reports.
     for (const auto& acc : op.accesses) {
-      if (acc.resource < 0 || acc.lo > acc.hi) malformed(op, "malformed access");
-      if (static_cast<std::size_t>(acc.resource) >= slots.size())
-        slots.resize(static_cast<std::size_t>(acc.resource) + 1);
-      auto& res = slots[static_cast<std::size_t>(acc.resource)];
-      if (static_cast<std::size_t>(acc.hi) > res.size())
-        res.resize(static_cast<std::size_t>(acc.hi));
-      for (std::int64_t slot = acc.lo; slot < acc.hi; ++slot) {
-        SlotState& st = res[static_cast<std::size_t>(slot)];
-        if (st.last_writer >= 0 && st.last_writer != i && !ordered_before(st.last_writer))
-          conflict(st.last_writer, acc.write ? "write-after-write" : "read-after-write");
-        if (acc.write) {
-          for (int r : st.readers)
-            if (r != i && !ordered_before(r)) conflict(r, "write-after-read");
-          st.last_writer = i;
-          st.readers.clear();
-        } else if (st.readers.empty() || st.readers.back() != i) {
-          st.readers.push_back(i);
-        }
+      if (acc.resource < 0 || acc.resources < 1 || acc.lo < 0 || acc.lo > acc.hi)
+        malformed(op, "malformed access");
+      const auto end =
+          static_cast<std::size_t>(acc.resource) + static_cast<std::size_t>(acc.resources);
+      if (end > slots.size()) slots.resize(end);
+      for (auto res = static_cast<std::size_t>(acc.resource); res < end; ++res) {
+        slots[res].update(acc.lo, acc.hi, [&](SlotRun& st) {
+          if (st.last_writer >= 0 && st.last_writer != i && !ordered_before(st.last_writer))
+            conflict(st.last_writer, acc.write ? "write-after-write" : "read-after-write");
+          if (acc.write) {
+            for (int r : st.readers)
+              if (r != i && !ordered_before(r)) conflict(r, "write-after-read");
+            st.last_writer = i;
+            st.readers.clear();
+          } else if (st.readers.empty() || st.readers.back() != i) {
+            st.readers.push_back(i);
+          }
+        });
       }
     }
   }

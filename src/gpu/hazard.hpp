@@ -84,13 +84,16 @@ bool ranges_overlap(const MemRange& a, const MemRange& b);
 struct StaticOp {
   int queue = 0;
   std::span<const int> deps;
-  /// One access in an abstract resource's slot space (e.g. a ring buffer's
-  /// slot indices): the op touches slots [lo, hi) of `resource`.
+  /// One access in abstract resources' slot space (e.g. the rows of a ring
+  /// buffer, each with its slot indices): the op touches slots [lo, hi) of
+  /// each of the `resources` consecutive resources from `resource`, in
+  /// resource order.
   struct Access {
     int resource = 0;
     std::int64_t lo = 0;
     std::int64_t hi = 0;
     bool write = false;
+    int resources = 1;
   };
   std::span<const Access> accesses;
   std::string_view label;
@@ -104,10 +107,14 @@ struct StaticOp {
 /// is issued, complementing HazardTracker's runtime detection (which only
 /// sees races that manifest in one particular simulated timing).
 ///
-/// Cost: O(ops * queues) for the happens-before closure (per-queue ancestor
-/// frontiers in one flat ops x queues table — exact because each queue is
-/// totally ordered) plus O(total slots touched) for the conflict scan.
-/// Messages, labels included, are formatted only when it throws.
+/// Cost: O(ops * queues + runs touched). The happens-before closure is
+/// per-queue ancestor frontiers in one flat ops x queues table (exact
+/// because each queue is totally ordered). The conflict scan keeps, per
+/// resource, sorted runs of slots that share the last writer and the
+/// readers since it, and checks and updates each run an access covers once
+/// (a binary search and at most two splits per access and resource),
+/// whatever the number of slots. Messages, labels included, are formatted
+/// only when it throws.
 void validate_static_schedule(const std::vector<StaticOp>& ops, int num_queues);
 
 /// Tracks in-flight accesses and validates new ones against them.

@@ -174,7 +174,8 @@ TEST(HazardTracker, DisabledTrackerIgnoresEverything) {
 
 /// The per-slot algorithm validate_static_schedule once ran, kept as a test
 /// oracle: per (resource, slot), the last writer and the readers since that
-/// write, checked slot by slot. Returns the text validation would throw
+/// write, checked slot by slot and, for an access of several resources,
+/// resource by resource. Returns the text validation would throw
 /// ("hazard: ..." or "error: ..." without the source location), or "ok".
 std::string per_slot_verdict(const std::vector<StaticOp>& ops, int num_queues) {
   const int n = static_cast<int>(ops.size());
@@ -215,24 +216,27 @@ std::string per_slot_verdict(const std::vector<StaticOp>& ops, int num_queues) {
              "' without an ordering dependency between them";
     };
     for (const StaticOp::Access& acc : op.accesses) {
-      if (acc.resource < 0 || acc.lo < 0 || acc.lo > acc.hi)
+      if (acc.resource < 0 || acc.resources < 1 || acc.lo < 0 || acc.lo > acc.hi)
         return malformed(op, "malformed access");
-      if (static_cast<std::size_t>(acc.resource) >= slots.size())
-        slots.resize(static_cast<std::size_t>(acc.resource) + 1);
-      auto& res = slots[static_cast<std::size_t>(acc.resource)];
-      if (static_cast<std::size_t>(acc.hi) > res.size())
-        res.resize(static_cast<std::size_t>(acc.hi));
-      for (std::int64_t slot = acc.lo; slot < acc.hi; ++slot) {
-        SlotState& st = res[static_cast<std::size_t>(slot)];
-        if (st.last_writer >= 0 && st.last_writer != i && !ordered_before(st.last_writer))
-          return conflict(st.last_writer, acc.write ? "write-after-write" : "read-after-write");
-        if (acc.write) {
-          for (int r : st.readers)
-            if (r != i && !ordered_before(r)) return conflict(r, "write-after-read");
-          st.last_writer = i;
-          st.readers.clear();
-        } else if (st.readers.empty() || st.readers.back() != i) {
-          st.readers.push_back(i);
+      if (static_cast<std::size_t>(acc.resource + acc.resources) > slots.size())
+        slots.resize(static_cast<std::size_t>(acc.resource + acc.resources));
+      for (int resource = acc.resource; resource < acc.resource + acc.resources; ++resource) {
+        auto& res = slots[static_cast<std::size_t>(resource)];
+        if (static_cast<std::size_t>(acc.hi) > res.size())
+          res.resize(static_cast<std::size_t>(acc.hi));
+        for (std::int64_t slot = acc.lo; slot < acc.hi; ++slot) {
+          SlotState& st = res[static_cast<std::size_t>(slot)];
+          if (st.last_writer >= 0 && st.last_writer != i && !ordered_before(st.last_writer))
+            return conflict(st.last_writer,
+                            acc.write ? "write-after-write" : "read-after-write");
+          if (acc.write) {
+            for (int r : st.readers)
+              if (r != i && !ordered_before(r)) return conflict(r, "write-after-read");
+            st.last_writer = i;
+            st.readers.clear();
+          } else if (st.readers.empty() || st.readers.back() != i) {
+            st.readers.push_back(i);
+          }
         }
       }
     }
@@ -266,15 +270,16 @@ struct RandomSchedule {
 /// [0, 64) of 1-3 resources (one op's accesses may overlap) and deps on
 /// earlier ops: with probability `order`, an op waits on each earlier op it
 /// conflicts with, so some schedules validate and others fail late. One
-/// schedule in 16 carries one malformed op.
-RandomSchedule random_schedule(std::mt19937_64& rng) {
+/// schedule in 16 carries one malformed op. With `multi`, each access
+/// covers 1-3 consecutive resources of 1-5.
+RandomSchedule random_schedule(std::mt19937_64& rng, bool multi = false) {
   auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
   };
   RandomSchedule s;
   s.num_queues = static_cast<int>(pick(1, 4));
   const int n = static_cast<int>(pick(1, 60));
-  const int resources = static_cast<int>(pick(1, 3));
+  const int resources = static_cast<int>(pick(1, multi ? 5 : 3));
   const std::int64_t span = pick(0, 1) ? 64 : pick(1, 16);  // narrow spans collide more
   const double order = std::uniform_real_distribution<double>(0.9, 1.0)(rng);
   const int bad_op = pick(0, 15) == 0 ? static_cast<int>(pick(0, n - 1)) : -1;
@@ -287,14 +292,20 @@ RandomSchedule random_schedule(std::mt19937_64& rng) {
     for (int a = static_cast<int>(pick(1, 3)); a > 0; --a) {
       const std::int64_t lo = pick(0, span - 1);
       s.accesses[ui].push_back({static_cast<int>(pick(0, resources - 1)), lo,
-                                std::min<std::int64_t>(64, lo + pick(1, span)), pick(0, 1) == 1});
+                                std::min<std::int64_t>(64, lo + pick(1, span)),
+                                pick(0, 1) == 1});
+      if (multi) {
+        StaticOp::Access& acc = s.accesses[ui].back();
+        acc.resources = static_cast<int>(pick(1, std::min(3, resources - acc.resource)));
+      }
     }
     for (int j = 0; j < i; ++j) {
       bool conflicts = false;
       for (const StaticOp::Access& x : s.accesses[ui])
         for (const StaticOp::Access& y : s.accesses[static_cast<std::size_t>(j)])
-          conflicts = conflicts || (x.resource == y.resource && x.lo < y.hi && y.lo < x.hi &&
-                                    (x.write || y.write));
+          conflicts = conflicts || (x.resource < y.resource + y.resources &&
+                                    y.resource < x.resource + x.resources && x.lo < y.hi &&
+                                    y.lo < x.hi && (x.write || y.write));
       const double p = conflicts ? order : 0.05;
       if (std::uniform_real_distribution<double>(0, 1)(rng) < p) s.deps[ui].push_back(j);
     }
@@ -304,7 +315,12 @@ RandomSchedule random_schedule(std::mt19937_64& rng) {
         case 0: queue[ui] = pick(0, 1) ? s.num_queues : -1; break;
         case 1: s.deps[ui].push_back(static_cast<int>(pick(i, i + 2))); break;
         case 2: s.accesses[ui].back().lo = s.accesses[ui].back().hi + 1; break;
-        default: s.accesses[ui].back().resource = -1; break;
+        default:
+          if (multi && pick(0, 1))
+            s.accesses[ui].back().resources = 0;
+          else
+            s.accesses[ui].back().resource = -1;
+          break;
       }
     }
     s.labels.push_back("op" + std::to_string(i));
@@ -328,6 +344,22 @@ TEST(StaticSchedule, MatchesThePerSlotOracleOnRandomSchedules) {
     errors += expected.starts_with("error: ");
   }
   // Every outcome is exercised, hazards included.
+  EXPECT_GT(ok, 1000) << hazards << " hazards, " << errors << " errors";
+  EXPECT_GT(hazards, 1000) << ok << " ok";
+  EXPECT_GT(errors, 100);
+}
+
+TEST(StaticSchedule, MatchesThePerSlotOracleOnMultiResourceAccesses) {
+  std::mt19937_64 rng(20261021);
+  int ok = 0, hazards = 0, errors = 0;
+  for (int k = 0; k < 5000; ++k) {
+    const RandomSchedule s = random_schedule(rng, /*multi=*/true);
+    const std::string expected = per_slot_verdict(s.ops, s.num_queues);
+    ASSERT_EQ(verdict(s.ops, s.num_queues), expected) << "schedule " << k;
+    ok += expected == "ok";
+    hazards += expected.starts_with("hazard: ");
+    errors += expected.starts_with("error: ");
+  }
   EXPECT_GT(ok, 1000) << hazards << " hazards, " << errors << " errors";
   EXPECT_GT(hazards, 1000) << ok << " ok";
   EXPECT_GT(errors, 100);

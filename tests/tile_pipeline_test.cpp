@@ -234,6 +234,23 @@ TEST(TilePlanValidate, NamesThePairBehindADeletedSlotReuseEdge) {
             "without an ordering dependency between them");
 }
 
+TEST(TilePlanValidate, RejectsACopyRowOutsideTheRing) {
+  // Each ring row is a resource of its own: a copy row past the ring of
+  // 'in' (rows [0, 6)) must not alias the first row of 'out'.
+  ExecutionPlan plan = haloed_tile_plan();
+  const auto h2d = std::find_if(plan.nodes.begin(), plan.nodes.end(),
+                                [](const PlanNode& n) { return n.op == PlanOp::H2D; });
+  ASSERT_NE(h2d, plan.nodes.end());
+  h2d->segments.front().row_slot = 6;
+  std::string what = "validated";
+  try {
+    plan.validate();
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("plan access row lies outside the ring"), std::string::npos) << what;
+}
+
 TEST(TilePipeline, ValidatesSpecs) {
   gpu::Gpu g(gpu::nvidia_k40m());
   TileSpec empty;
