@@ -332,37 +332,30 @@ RandomSchedule random_schedule(std::mt19937_64& rng, bool multi = false) {
   return s;
 }
 
-TEST(StaticSchedule, MatchesThePerSlotOracleOnRandomSchedules) {
-  std::mt19937_64 rng(20261020);
+/// Compares validate_static_schedule with the per-slot oracle on 5 000
+/// seeded random schedules; every outcome must occur, hazards included.
+void expect_matches_oracle(std::uint64_t seed, bool multi) {
+  std::mt19937_64 rng(seed);
   int ok = 0, hazards = 0, errors = 0;
   for (int k = 0; k < 5000; ++k) {
-    const RandomSchedule s = random_schedule(rng);
+    const RandomSchedule s = random_schedule(rng, multi);
     const std::string expected = per_slot_verdict(s.ops, s.num_queues);
     ASSERT_EQ(verdict(s.ops, s.num_queues), expected) << "schedule " << k;
     ok += expected == "ok";
     hazards += expected.starts_with("hazard: ");
     errors += expected.starts_with("error: ");
   }
-  // Every outcome is exercised, hazards included.
   EXPECT_GT(ok, 1000) << hazards << " hazards, " << errors << " errors";
   EXPECT_GT(hazards, 1000) << ok << " ok";
   EXPECT_GT(errors, 100);
 }
 
+TEST(StaticSchedule, MatchesThePerSlotOracleOnRandomSchedules) {
+  expect_matches_oracle(20261020, /*multi=*/false);
+}
+
 TEST(StaticSchedule, MatchesThePerSlotOracleOnMultiResourceAccesses) {
-  std::mt19937_64 rng(20261021);
-  int ok = 0, hazards = 0, errors = 0;
-  for (int k = 0; k < 5000; ++k) {
-    const RandomSchedule s = random_schedule(rng, /*multi=*/true);
-    const std::string expected = per_slot_verdict(s.ops, s.num_queues);
-    ASSERT_EQ(verdict(s.ops, s.num_queues), expected) << "schedule " << k;
-    ok += expected == "ok";
-    hazards += expected.starts_with("hazard: ");
-    errors += expected.starts_with("error: ");
-  }
-  EXPECT_GT(ok, 1000) << hazards << " hazards, " << errors << " errors";
-  EXPECT_GT(hazards, 1000) << ok << " ok";
-  EXPECT_GT(errors, 100);
+  expect_matches_oracle(20261021, /*multi=*/true);
 }
 
 TEST(StaticSchedule, ReportsTheFirstUnorderedPairInSlotOrder) {

@@ -251,6 +251,42 @@ TEST(TilePlanValidate, RejectsACopyRowOutsideTheRing) {
   EXPECT_NE(what.find("plan access row lies outside the ring"), std::string::npos) << what;
 }
 
+TEST(TilePlanValidate, ChecksEveryBufferRowOfAPiece) {
+  // An upload of buffer rows 2-3 and an unordered reader that shares
+  // only one row of it: the second row of the upload's segment (a
+  // copy-out of row 3), then the second row of a kernel access (rows 1-2).
+  auto two_node_plan = [](PlanNode second) {
+    ExecutionPlan plan;
+    plan.num_streams = 2;
+    plan.arrays.push_back(PlanArrayInfo{.name = "in", .ring_len = 4, .ring_rows = 4});
+    PlanNode h2d;
+    h2d.op = PlanOp::H2D;
+    h2d.array = 0;
+    h2d.label = "h2d";
+    h2d.segments.push_back(PlanSegment{.count = 4, .row_slot = 2, .rows = 2});
+    plan.nodes.push_back(h2d);
+    second.stream = 1;
+    second.array = 0;
+    plan.nodes.push_back(std::move(second));
+    return plan;
+  };
+  PlanNode d2h;
+  d2h.op = PlanOp::D2H;
+  d2h.label = "d2h";
+  d2h.segments.push_back(PlanSegment{.count = 4, .row_slot = 3, .rows = 1});
+  EXPECT_EQ(hazard_text(two_node_plan(d2h)),
+            "static read-after-write hazard: 'd2h' conflicts with 'h2d' without an ordering "
+            "dependency between them");
+
+  PlanNode kernel;
+  kernel.op = PlanOp::Kernel;
+  kernel.label = "tile";
+  kernel.accesses.push_back({0, 0, 4, 1, 3, false});  // rows 1-2
+  EXPECT_EQ(hazard_text(two_node_plan(kernel)),
+            "static read-after-write hazard: 'tile' conflicts with 'h2d' without an ordering "
+            "dependency between them");
+}
+
 TEST(TilePipeline, ValidatesSpecs) {
   gpu::Gpu g(gpu::nvidia_k40m());
   TileSpec empty;
